@@ -118,21 +118,6 @@ fn telemetry_export(out_dir: &std::path::Path) {
     let reach = solver.solve(&[Literal::new("reach", vec![Term::int(0), Term::var("W")])]);
     assert_eq!(reach.len(), 32);
 
-    // The same solve through the WAM-lite compiled lane, so the compiled
-    // execution counters (engine.compiled.*, engine.heap.*) are live in
-    // the export.
-    let compiled = std::sync::Arc::new(peertrust_engine::CompiledKb::compile(&kb));
-    let mut csolver = peertrust_engine::Solver::new(&kb, PeerId::new("exporter"))
-        .with_config(peertrust_engine::EngineConfig {
-            max_solutions: usize::MAX,
-            max_depth: 4096,
-            ..Default::default()
-        })
-        .with_compiled(compiled)
-        .with_telemetry(telemetry.clone());
-    let reach_c = csolver.solve(&[Literal::new("reach", vec![Term::int(0), Term::var("W")])]);
-    assert_eq!(reach_c.len(), 32);
-
     let mut w = delegation_chain(4);
     let mut cache = peertrust_negotiation::RemoteAnswerCache::new();
     for nid in [3u64, 4] {

@@ -34,7 +34,6 @@
 //! exit.
 
 use crate::hash::FxHashMap;
-use crate::heap::{HeapMark, HeapStats, TermHeap};
 use crate::literal::Literal;
 use crate::subst::Subst;
 use crate::term::{Term, Var};
@@ -93,10 +92,6 @@ pub struct Bindings {
     named: FxHashMap<Var, Term>,
     /// Undo log, one entry per binding ever written and not yet undone.
     trail: Vec<TrailEntry>,
-    /// Bump-allocated assembly scratch for hot-path goal construction
-    /// (see [`TermHeap`]). Transient: cells never survive past the goal
-    /// build that pushed them, so checkpoints and rollbacks ignore it.
-    heap: TermHeap,
     stats: TrailStats,
 }
 
@@ -344,85 +339,6 @@ impl Bindings {
         })
     }
 
-    /// Fused standardize-apart + resolution: equivalent to
-    /// `self.apply(&offset_term(t, offset))` in a single pass. This is
-    /// what a compiled `PutTerm` instruction executes — the frame-relative
-    /// clause term is shifted *and* resolved against the store without
-    /// ever materializing the intermediate renamed term. Ground subterms
-    /// are shared with the compiled clause (`Arc` bump, no rebuild).
-    pub fn apply_offset(&self, t: &Term, offset: u32) -> Term {
-        self.apply_offset_opt(t, offset)
-            .unwrap_or_else(|| t.clone())
-    }
-
-    /// Copy-on-write core of [`Bindings::apply_offset`]: `None` means `t`
-    /// is ground (keep the original, no allocation).
-    fn apply_offset_opt(&self, t: &Term, offset: u32) -> Option<Term> {
-        match t {
-            Term::Atom(_) | Term::Str(_) | Term::Int(_) => None,
-            Term::Var(v) => {
-                let rv = Var::versioned(v.name, v.version + offset);
-                match self.lookup(&rv) {
-                    Some(bound) => {
-                        // Clone breaks the borrow on `self` (an `Arc`
-                        // bump for compounds) so resolution can recurse.
-                        let bound = bound.clone();
-                        Some(self.resolve_opt(&bound).unwrap_or(bound))
-                    }
-                    None => Some(Term::Var(rv)),
-                }
-            }
-            Term::Compound(f, args) => {
-                let mut rebuilt: Option<Vec<Term>> = None;
-                for (i, a) in args.iter().enumerate() {
-                    match self.apply_offset_opt(a, offset) {
-                        Some(changed) => rebuilt
-                            .get_or_insert_with(|| args[..i].to_vec())
-                            .push(changed),
-                        None => {
-                            if let Some(v) = rebuilt.as_mut() {
-                                v.push(a.clone());
-                            }
-                        }
-                    }
-                }
-                rebuilt.map(|v| Term::Compound(*f, v.into()))
-            }
-        }
-    }
-
-    /// Current top of the assembly heap. See [`TermHeap`].
-    pub fn heap_mark(&self) -> HeapMark {
-        self.heap.mark()
-    }
-
-    /// Push one assembled term cell onto the heap.
-    pub fn heap_push(&mut self, t: Term) {
-        self.heap.push(t);
-    }
-
-    /// Freeze the cells above `mark` into two boundary blocks (arguments,
-    /// authority chain) split at relative position `at`, resetting the
-    /// heap to the mark.
-    pub fn heap_take_split(&mut self, mark: HeapMark, at: usize) -> (Vec<Term>, Vec<Term>) {
-        self.heap.take_split(mark, at)
-    }
-
-    /// Abandon the cells above `mark` (failed build).
-    pub fn heap_truncate(&mut self, mark: HeapMark) {
-        self.heap.truncate(mark);
-    }
-
-    /// Drain the heap telemetry counters accumulated since the last call.
-    pub fn take_heap_stats(&mut self) -> HeapStats {
-        self.heap.take_stats()
-    }
-
-    /// Read the heap telemetry counters without resetting them.
-    pub fn heap_stats(&self) -> HeapStats {
-        self.heap.stats()
-    }
-
     /// Project onto `vars` as a triangular [`Subst`] — the conversion
     /// back to the boundary type at solve exit. Fully resolves each
     /// variable, drops identity bindings.
@@ -578,189 +494,6 @@ fn occurs_resolved_in(v: &Var, t: &Term, bs: &Bindings) -> bool {
     }
 }
 
-/// Rename every variable in `t` by adding `offset` to its version,
-/// sharing unchanged (ground) subterms with the input. This is the whole
-/// of standardize-apart for a *compiled* clause: the compiler numbers a
-/// clause's variables 1..=n once, and each use shifts them above the
-/// solver's monotone counter instead of walking the term per use.
-pub fn offset_term(t: &Term, offset: u32) -> Term {
-    offset_term_opt(t, offset).unwrap_or_else(|| t.clone())
-}
-
-/// Copy-on-write core of [`offset_term`]: `None` means `t` is ground
-/// (keep the original, no allocation).
-fn offset_term_opt(t: &Term, offset: u32) -> Option<Term> {
-    match t {
-        Term::Var(v) => Some(Term::Var(Var::versioned(v.name, v.version + offset))),
-        Term::Atom(_) | Term::Str(_) | Term::Int(_) => None,
-        Term::Compound(f, args) => {
-            let mut rebuilt: Option<Vec<Term>> = None;
-            for (i, a) in args.iter().enumerate() {
-                match offset_term_opt(a, offset) {
-                    Some(changed) => rebuilt
-                        .get_or_insert_with(|| args[..i].to_vec())
-                        .push(changed),
-                    None => {
-                        if let Some(v) = rebuilt.as_mut() {
-                            v.push(a.clone());
-                        }
-                    }
-                }
-            }
-            rebuilt.map(|v| Term::Compound(*f, v.into()))
-        }
-    }
-}
-
-/// Unify a *ground* clause-side term `c` against a runtime goal term
-/// `g`, comparing in place: the goal side is walked one level at a time
-/// and compared structurally — no goal subterm is ever cloned just to be
-/// looked at (the old path through [`unify_offset_in`] detached an `Arc`
-/// argument block per compound level on both sides). The only clone is
-/// the `Arc`-bump of `c` itself when the goal side is an unbound
-/// variable and must be bound to it. No occurs check is needed — `c` has
-/// no variables to cycle through. Rolls back on failure.
-///
-/// Equivalent to `unify_opts_in(c, g, bs, opts)` for ground `c`; callers
-/// must guarantee groundness (checked in debug builds).
-pub fn unify_ground_in(c: &Term, g: &Term, bs: &mut Bindings) -> bool {
-    let cp = bs.checkpoint();
-    if unify_ground_raw(c, g, bs) {
-        true
-    } else {
-        bs.rollback(cp);
-        false
-    }
-}
-
-/// Destructive core of [`unify_ground_in`]; may leave partial bindings
-/// on failure.
-fn unify_ground_raw(c: &Term, g: &Term, bs: &mut Bindings) -> bool {
-    debug_assert!(c.is_ground(), "unify_ground_raw on non-ground {c}");
-    let gw = bs.walk(g);
-    if let Term::Var(y) = gw {
-        let y = *y;
-        bs.bind(y, c.clone());
-        return true;
-    }
-    if std::ptr::eq(gw, g) {
-        // The goal term was not a bound variable: its borrow is the
-        // caller's, independent of the store, so compare in place.
-        ground_cmp_walked(c, g, bs)
-    } else {
-        // Walked into the store: detach one level (`Arc` bump for a
-        // compound) to release the borrow before recursing.
-        let gw = gw.clone();
-        ground_cmp_walked(c, &gw, bs)
-    }
-}
-
-/// Compare `c` against an already-walked, non-variable `g`; goal
-/// *subterms* may still be (possibly bound) variables.
-fn ground_cmp_walked(c: &Term, g: &Term, bs: &mut Bindings) -> bool {
-    match (c, g) {
-        (Term::Atom(x), Term::Atom(y)) => x == y,
-        (Term::Str(x), Term::Str(y)) => x == y,
-        (Term::Int(x), Term::Int(y)) => x == y,
-        (Term::Compound(cf, cargs), Term::Compound(gf, gargs)) => {
-            cf == gf
-                && cargs.len() == gargs.len()
-                && cargs
-                    .iter()
-                    .zip(gargs.iter())
-                    .all(|(x, y)| unify_ground_raw(x, y, bs))
-        }
-        _ => false,
-    }
-}
-
-/// Unify a *clause-side* term `c` — whose variables are frame-relative
-/// and stand for `Var { name, version: version + offset }` — against a
-/// runtime goal term `g`, without ever materializing the renamed clause
-/// term (the renaming happens lazily, variable by variable, and ground
-/// clause subterms unify structurally with zero allocation). Rolls the
-/// store back to its entry state on failure, like [`unify_opts_in`].
-///
-/// Equivalent to `unify_opts_in(&offset_term(c, offset), g, bs, opts)`.
-pub fn unify_offset_in(
-    c: &Term,
-    offset: u32,
-    g: &Term,
-    bs: &mut Bindings,
-    opts: UnifyOptions,
-) -> bool {
-    let cp = bs.checkpoint();
-    if unify_offset_raw(c, offset, g, bs, opts) {
-        true
-    } else {
-        bs.rollback(cp);
-        false
-    }
-}
-
-/// Destructive core of [`unify_offset_in`]; may leave partial bindings
-/// on failure.
-fn unify_offset_raw(
-    c: &Term,
-    offset: u32,
-    g: &Term,
-    bs: &mut Bindings,
-    opts: UnifyOptions,
-) -> bool {
-    match c {
-        Term::Var(v) => {
-            let rv = Var::versioned(v.name, v.version + offset);
-            if let Some(bound) = bs.lookup(&rv) {
-                // The frame slot was filled by an earlier instruction of
-                // this head match; from here it is ordinary unification.
-                let bound = bound.clone();
-                return unify_raw(&bound, g, bs, opts);
-            }
-            match bs.walk(g) {
-                Term::Var(y) if *y == rv => true,
-                gw => {
-                    let gw = gw.clone();
-                    if opts.occurs_check && occurs_resolved_in(&rv, &gw, bs) {
-                        return false;
-                    }
-                    bs.bind(rv, gw);
-                    true
-                }
-            }
-        }
-        Term::Atom(_) | Term::Str(_) | Term::Int(_) => match bs.walk(g) {
-            Term::Var(y) => {
-                let y = *y;
-                bs.bind(y, c.clone());
-                true
-            }
-            gw => gw == c,
-        },
-        Term::Compound(f, cargs) => match bs.walk(g) {
-            Term::Var(y) => {
-                let y = *y;
-                let inst = offset_term(c, offset);
-                if opts.occurs_check && occurs_resolved_in(&y, &inst, bs) {
-                    return false;
-                }
-                bs.bind(y, inst);
-                true
-            }
-            Term::Compound(gf, gargs) => {
-                if gf != f || gargs.len() != cargs.len() {
-                    return false;
-                }
-                let (cargs, gargs) = (cargs.clone(), gargs.clone());
-                cargs
-                    .iter()
-                    .zip(gargs.iter())
-                    .all(|(x, y)| unify_offset_raw(x, offset, y, bs, opts))
-            }
-            _ => false,
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -873,204 +606,6 @@ mod tests {
     }
 
     #[test]
-    fn offset_term_shifts_vars_and_shares_ground() {
-        let ground = Term::compound("g", vec![Term::int(1)]);
-        let t = Term::compound("f", vec![Term::Var(slot("X", 1)), ground.clone()]);
-        let shifted = offset_term(&t, 10);
-        assert_eq!(
-            shifted,
-            Term::compound("f", vec![Term::Var(slot("X", 11)), ground.clone()])
-        );
-        match (&shifted, &t) {
-            (Term::Compound(_, xs), Term::Compound(_, ys)) => match (&xs[1], &ys[1]) {
-                (Term::Compound(_, a), Term::Compound(_, b)) => {
-                    assert!(std::sync::Arc::ptr_eq(a, b), "ground subterm shared");
-                }
-                _ => panic!("expected compounds"),
-            },
-            _ => panic!("expected compounds"),
-        }
-        // A fully ground term is shared outright.
-        assert_eq!(offset_term(&ground, 10), ground);
-    }
-
-    #[test]
-    fn offset_unify_matches_materialized_renaming() {
-        // For a spread of clause/goal shapes, unify_offset_in must agree
-        // with renaming the clause term eagerly and using unify_in —
-        // both in verdict and in resulting goal-variable bindings.
-        let clause_terms = [
-            Term::Var(slot("X", 1)),
-            Term::atom("a"),
-            Term::compound("f", vec![Term::Var(slot("X", 1)), Term::Var(slot("X", 1))]),
-            Term::compound("f", vec![Term::Var(slot("X", 1)), Term::int(2)]),
-            Term::compound("f", vec![Term::atom("a")]),
-        ];
-        let goal_terms = [
-            v("G"),
-            Term::atom("a"),
-            Term::atom("b"),
-            Term::compound("f", vec![Term::int(2), Term::int(2)]),
-            Term::compound("f", vec![v("G"), v("G")]),
-            Term::compound("f", vec![v("G"), v("H")]),
-        ];
-        for c in &clause_terms {
-            for g in &goal_terms {
-                let mut lazy = Bindings::new(0);
-                let ok_lazy = unify_offset_in(c, 100, g, &mut lazy, UnifyOptions::default());
-                let mut eager = Bindings::new(0);
-                let renamed = offset_term(c, 100);
-                let ok_eager = unify_in(&renamed, g, &mut eager);
-                assert_eq!(ok_lazy, ok_eager, "verdict for {c} vs {g}");
-                if ok_lazy {
-                    for name in ["G", "H"] {
-                        let t = Term::var(name);
-                        assert_eq!(
-                            lazy.apply(&t),
-                            eager.apply(&t),
-                            "binding of {name} for {c} vs {g}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn offset_unify_occurs_check() {
-        // clause p(X, f(X)) vs goal p(Y, Y) must fail the occurs check.
-        let mut bs = Bindings::new(0);
-        let x = Term::Var(slot("X", 1));
-        assert!(unify_offset_in(
-            &x,
-            10,
-            &v("Y"),
-            &mut bs,
-            UnifyOptions::default()
-        ));
-        let fx = Term::compound("f", vec![x]);
-        assert!(!unify_offset_in(
-            &fx,
-            10,
-            &v("Y"),
-            &mut bs,
-            UnifyOptions::default()
-        ));
-    }
-
-    #[test]
-    fn offset_unify_rolls_back_on_failure() {
-        let mut bs = Bindings::new(0);
-        let c = Term::compound("f", vec![Term::Var(slot("X", 1)), Term::int(1)]);
-        let g = Term::compound("f", vec![Term::int(2), Term::int(9)]);
-        assert!(!unify_offset_in(
-            &c,
-            10,
-            &g,
-            &mut bs,
-            UnifyOptions::default()
-        ));
-        assert!(bs.is_empty());
-    }
-
-    #[test]
-    fn ground_unify_matches_general_unifier() {
-        // unify_ground_in (the GetConst executor) must agree with the
-        // general unifier in both verdict and resulting bindings for
-        // every ground-clause-term/goal-term pairing.
-        let consts = [
-            Term::atom("a"),
-            Term::str("a"),
-            Term::int(7),
-            Term::compound("f", vec![Term::int(1), Term::atom("a")]),
-            Term::compound("f", vec![Term::compound("g", vec![Term::int(2)])]),
-        ];
-        let goals = [
-            v("G"),
-            Term::atom("a"),
-            Term::str("a"),
-            Term::int(7),
-            Term::int(8),
-            Term::compound("f", vec![Term::int(1), Term::atom("a")]),
-            Term::compound("f", vec![v("G"), v("H")]),
-            Term::compound("f", vec![v("G"), v("G")]),
-            Term::compound("f", vec![Term::compound("g", vec![v("G")])]),
-        ];
-        for c in &consts {
-            for g in &goals {
-                let mut fast = Bindings::new(0);
-                let ok_fast = unify_ground_in(c, g, &mut fast);
-                let mut general = Bindings::new(0);
-                let ok_general = unify_in(c, g, &mut general);
-                assert_eq!(ok_fast, ok_general, "verdict for {c} vs {g}");
-                if ok_fast {
-                    for name in ["G", "H"] {
-                        let t = Term::var(name);
-                        assert_eq!(
-                            fast.apply(&t),
-                            general.apply(&t),
-                            "binding of {name} for {c} vs {g}"
-                        );
-                    }
-                } else {
-                    assert!(fast.is_empty(), "rolled back for {c} vs {g}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn ground_unify_binds_through_chains() {
-        // G -> H (unbound); matching against a constant must bind the
-        // chain end, exactly like the general unifier.
-        let mut bs = Bindings::new(0);
-        bs.bind(Var::new("G"), v("H"));
-        let c = Term::compound("f", vec![Term::int(3)]);
-        assert!(unify_ground_in(&c, &v("G"), &mut bs));
-        assert_eq!(bs.apply(&v("H")), c);
-    }
-
-    #[test]
-    fn apply_offset_fuses_rename_and_resolve() {
-        // apply_offset(t, k) is the one-pass equivalent of
-        // apply(&offset_term(t, k)) — the PutTerm executor relies on it.
-        let mut bs = Bindings::new(0);
-        bs.bind(slot("X", 11), Term::int(5));
-        bs.bind(slot("Y", 12), v("G"));
-        let shapes = [
-            Term::atom("a"),
-            Term::Var(slot("X", 1)),
-            Term::Var(slot("Y", 2)),
-            Term::Var(slot("Z", 3)),
-            Term::compound(
-                "f",
-                vec![
-                    Term::Var(slot("X", 1)),
-                    Term::compound("g", vec![Term::Var(slot("Y", 2)), Term::int(9)]),
-                    Term::Var(slot("Z", 3)),
-                ],
-            ),
-            Term::compound("f", vec![Term::int(1), Term::atom("a")]),
-        ];
-        for t in &shapes {
-            assert_eq!(
-                bs.apply_offset(t, 10),
-                bs.apply(&offset_term(t, 10)),
-                "fused apply for {t}"
-            );
-        }
-        // Ground subtrees are shared, not rebuilt.
-        let ground = Term::compound("g", vec![Term::int(1)]);
-        if let (Term::Compound(_, a), Term::Compound(_, b)) =
-            (&bs.apply_offset(&ground, 10), &ground)
-        {
-            assert!(std::sync::Arc::ptr_eq(a, b), "ground args shared");
-        } else {
-            panic!("expected compounds");
-        }
-    }
-
-    #[test]
     fn apply_literal_memo_opt_reports_unchanged() {
         let mut bs = Bindings::new(0);
         let lit = Literal::new("p", vec![v("G"), Term::int(1)]);
@@ -1086,25 +621,6 @@ mod tests {
         // Ground literal: unchanged even with a non-empty trail.
         let ground = Literal::new("p", vec![Term::int(3)]);
         assert!(bs.apply_literal_memo_opt(&ground, &mut cache).is_none());
-    }
-
-    #[test]
-    fn heap_accessors_round_trip_through_bindings() {
-        let mut bs = Bindings::new(0);
-        let mark = bs.heap_mark();
-        bs.heap_push(Term::int(1));
-        bs.heap_push(Term::int(2));
-        bs.heap_push(Term::str("Auth"));
-        let (args, auth) = bs.heap_take_split(mark, 2);
-        assert_eq!(args, vec![Term::int(1), Term::int(2)]);
-        assert_eq!(auth, vec![Term::str("Auth")]);
-        let mark2 = bs.heap_mark();
-        bs.heap_push(Term::int(9));
-        bs.heap_truncate(mark2);
-        let st = bs.take_heap_stats();
-        assert_eq!(st.cells, 4);
-        assert_eq!(st.resets, 2);
-        assert_eq!(bs.heap_stats(), HeapStats::default());
     }
 
     #[test]

@@ -14,9 +14,6 @@ use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Multiply-rotate hasher (identical to rustc's `FxHasher` byte loop).
-///
-/// `Clone` lets long-lived running digests (e.g. the knowledge base's
-/// incremental prefix fingerprints) snapshot their state cheaply.
 #[derive(Default, Clone, Debug)]
 pub struct FxHasher(u64);
 

@@ -15,11 +15,9 @@
 //! per-job session startup in the batch scheduler and the open-loop
 //! serving driver clone-free: thousands of concurrent sessions share one
 //! frozen rule store and each grows only its own overlay (disclosures
-//! received during that negotiation). The KB is append-only, overlay
-//! clause ids are globally numbered, and the overlay's running digest is
-//! seeded from the base's final hasher state, so candidate order, rule
-//! ids and every historical prefix fingerprint are byte-identical to the
-//! unsplit representation.
+//! received during that negotiation). The KB is append-only and overlay
+//! clause ids are globally numbered, so candidate order and rule ids are
+//! identical to the unsplit representation.
 
 use crate::literal::Literal;
 use crate::rule::{Rule, RuleId};
@@ -28,23 +26,6 @@ use crate::term::{IndexKey, Term};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
-
-/// A cheap content identity for a KB prefix: rule count plus an
-/// order-sensitive digest of the rules. Two KBs with equal fingerprints
-/// hold syntactically identical rule sequences (up to hash collision);
-/// compiled artifacts store the fingerprint of the prefix they were built
-/// from and refuse to serve a KB that no longer starts with it.
-///
-/// KBs are append-only (rules are never removed or edited in place), so a
-/// *prefix* fingerprint match means every compiled clause is still live —
-/// later appended rules just aren't compiled yet.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct KbFingerprint {
-    /// Number of rules covered by the digest.
-    pub rules: usize,
-    /// Order-sensitive digest of those rules.
-    pub digest: u64,
-}
 
 /// Where a rule in a knowledge base came from.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -79,16 +60,6 @@ struct KbSegment {
     /// re-collects and re-sorts the whole index (callers poll it per
     /// negotiation round).
     sorted_predicates: Vec<(Sym, usize)>,
-    /// Running order-sensitive digest over all rules up to and including
-    /// this segment, advanced on insert. An overlay's hasher starts as a
-    /// clone of the frozen base's final state, so the global digest
-    /// stream is unbroken across [`KnowledgeBase::freeze`].
-    running_digest: crate::hash::FxHasher,
-    /// `prefix_digests[k]` is the digest of the global prefix ending at
-    /// this segment's rule `k`, so [`KnowledgeBase::prefix_fingerprint`]
-    /// is O(1) instead of re-hashing the prefix per call (compiled-lane
-    /// fit checks run it per solve).
-    prefix_digests: Vec<u64>,
 }
 
 /// One peer's rule store, indexed by head predicate/arity with
@@ -168,9 +139,9 @@ impl KnowledgeBase {
 
     /// Fold the overlay into the frozen base. Afterwards the overlay is
     /// empty and `clone` shares the base by `Arc` — O(1) regardless of KB
-    /// size. Rule ids, candidate order, iteration order and every
-    /// historical prefix fingerprint are unchanged (tested). Idempotent;
-    /// freezing an already-frozen KB with an empty overlay is a no-op.
+    /// size. Rule ids, candidate order and iteration order are unchanged
+    /// (tested). Idempotent; freezing an already-frozen KB with an empty
+    /// overlay is a no-op.
     pub fn freeze(&mut self) {
         if self.overlay.rules.is_empty() && self.base.is_some() {
             return;
@@ -183,8 +154,6 @@ impl KnowledgeBase {
                 // (freeze-after-share is a cold path by construction).
                 let mut m = Arc::try_unwrap(base).unwrap_or_else(|arc| (*arc).clone());
                 m.rules.extend(overlay.rules);
-                m.prefix_digests.extend(overlay.prefix_digests);
-                m.running_digest = overlay.running_digest;
                 // Overlay buckets hold global ids greater than every base
                 // id, so appending keeps each bucket ascending.
                 for (k, v) in overlay.index {
@@ -203,9 +172,6 @@ impl KnowledgeBase {
                 m
             }
         };
-        // The fresh overlay continues the global digest stream from the
-        // merged segment's final hasher state.
-        self.overlay.running_digest = merged.running_digest.clone();
         self.base = Some(Arc::new(merged));
     }
 
@@ -221,17 +187,9 @@ impl KnowledgeBase {
     }
 
     fn add(&mut self, rule: Rule, origin: RuleOrigin) -> RuleId {
-        use std::hash::{Hash, Hasher};
         let idx = self.len(); // global clause id
         let id = RuleId(u32::try_from(idx).expect("kb overflow"));
         let key = rule.head.functor();
-        // Advance the running digest exactly as a fresh hasher fed the
-        // whole prefix would (Arc<Rule> hashes as its pointee), so every
-        // historical prefix fingerprint stays byte-identical.
-        rule.hash(&mut self.overlay.running_digest);
-        self.overlay
-            .prefix_digests
-            .push(self.overlay.running_digest.finish());
         match rule.head.args.first().and_then(Term::index_key) {
             Some(k) => self
                 .overlay
@@ -398,41 +356,6 @@ impl KnowledgeBase {
             Some(b) if self.overlay.sorted_predicates.is_empty() => b.sorted_predicates.clone(),
             Some(b) => merge_sorted_keys(&b.sorted_predicates, &self.overlay.sorted_predicates),
         }
-    }
-
-    /// Fingerprint of the whole KB. O(1): the digest is maintained
-    /// incrementally on insert, so per-solve fit checks in
-    /// `peertrust-engine`'s `compile` module cost a single array read.
-    pub fn fingerprint(&self) -> KbFingerprint {
-        self.prefix_fingerprint(self.len())
-            .expect("full-length prefix always exists")
-    }
-
-    /// Fingerprint of the first `rules` rules, or `None` if the KB is
-    /// shorter than that. A compiled artifact built from an earlier
-    /// snapshot of this KB is still valid iff the snapshot's fingerprint
-    /// equals `prefix_fingerprint(snapshot.rules)` — appended rules never
-    /// invalidate compiled clauses, only rewriting history does (which
-    /// the append-only API makes impossible, but a *different* KB handed
-    /// to the same solver must be detected).
-    pub fn prefix_fingerprint(&self, rules: usize) -> Option<KbFingerprint> {
-        use std::hash::Hasher;
-        // O(1): served from the digests maintained in `add` (the overlay's
-        // digests already cover the global prefix — its hasher continued
-        // from the base's final state), so the compiled lane can
-        // re-validate its fit on every solve for free.
-        let digest = match rules.checked_sub(1) {
-            None => crate::hash::FxHasher::default().finish(),
-            Some(i) => {
-                let base_len = self.base_len();
-                if i < base_len {
-                    self.base.as_ref()?.prefix_digests[i]
-                } else {
-                    *self.overlay.prefix_digests.get(i - base_len)?
-                }
-            }
-        };
-        Some(KbFingerprint { rules, digest })
     }
 }
 
@@ -652,6 +575,11 @@ mod tests {
         assert_eq!(forward.predicates(), expected, "list is sorted");
     }
 
+    /// The stored rule sequence, in global id order.
+    fn rules(kb: &KnowledgeBase) -> Vec<(RuleId, Rule)> {
+        kb.iter().map(|sr| (sr.id, (*sr.rule).clone())).collect()
+    }
+
     /// Build the same KB twice: once flat, once frozen at every step of
     /// `freeze_at`. Used to pin freeze() as observationally invisible.
     fn flat_and_frozen(names: &[&str], freeze_at: &[usize]) -> (KnowledgeBase, KnowledgeBase) {
@@ -675,12 +603,7 @@ mod tests {
         cow.freeze(); // idempotent
         assert_eq!(cow.frozen_len(), names.len());
         assert_eq!(flat.len(), cow.len());
-        assert_eq!(flat.fingerprint(), cow.fingerprint());
-        for n in 0..=names.len() {
-            assert_eq!(flat.prefix_fingerprint(n), cow.prefix_fingerprint(n));
-        }
-        assert_eq!(flat.prefix_fingerprint(99), None);
-        assert_eq!(cow.prefix_fingerprint(99), None);
+        assert_eq!(rules(&flat), rules(&cow));
         assert_eq!(flat.predicates(), cow.predicates());
         assert_eq!(flat.to_string(), cow.to_string());
         for n in ["p", "q", "r", "s", "missing"] {
@@ -700,13 +623,12 @@ mod tests {
     }
 
     #[test]
-    fn appends_after_freeze_continue_the_digest_stream() {
+    fn appends_after_freeze_continue_the_rule_sequence() {
         let (mut flat, mut cow) = flat_and_frozen(&["p", "q"], &[]);
         cow.freeze();
         flat.add_local(fact("r", "x"));
         cow.add_local(fact("r", "x"));
-        assert_eq!(flat.fingerprint(), cow.fingerprint());
-        assert_eq!(flat.prefix_fingerprint(2), cow.prefix_fingerprint(2));
+        assert_eq!(rules(&flat), rules(&cow));
         // Dedup must see both segments.
         assert!(!cow.add_received_dedup(fact("p", "x"), PeerId::new("A")));
         assert!(cow.add_received_dedup(fact("z", "x"), PeerId::new("A")));
@@ -846,71 +768,6 @@ mod first_arg_tests {
             .count(),
             1
         );
-    }
-
-    #[test]
-    fn fingerprint_detects_divergence_and_tolerates_appends() {
-        let mk = |n: &str| Rule::fact(Literal::new(n, vec![Term::atom("x")]));
-        let mut a = KnowledgeBase::new();
-        a.add_local(mk("p"));
-        a.add_local(mk("q"));
-        let snap = a.fingerprint();
-        assert_eq!(snap.rules, 2);
-
-        // Appending keeps the prefix fingerprint stable.
-        a.add_local(mk("r"));
-        assert_eq!(a.prefix_fingerprint(snap.rules), Some(snap));
-        assert_ne!(a.fingerprint(), snap);
-
-        // A different KB with the same length diverges.
-        let mut b = KnowledgeBase::new();
-        b.add_local(mk("p"));
-        b.add_local(mk("DIFFERENT"));
-        assert_ne!(b.prefix_fingerprint(2), Some(snap));
-
-        // Same rules in the same order agree.
-        let mut c = KnowledgeBase::new();
-        c.add_local(mk("p"));
-        c.add_local(mk("q"));
-        assert_eq!(c.fingerprint(), snap);
-
-        // A prefix longer than the KB does not exist.
-        assert_eq!(c.prefix_fingerprint(3), None);
-
-        // Freezing does not disturb any of the above.
-        c.freeze();
-        assert_eq!(c.fingerprint(), snap);
-        assert_eq!(c.prefix_fingerprint(3), None);
-    }
-
-    #[test]
-    fn incremental_prefix_digests_match_fresh_rehash() {
-        // The O(1) fingerprints served from `prefix_digests` must be
-        // byte-identical to hashing the prefix from scratch — compiled
-        // artifacts persist these digests across KB growth.
-        use std::hash::{Hash, Hasher};
-        let mk = |n: &str| Rule::fact(Literal::new(n, vec![Term::atom("x")]));
-        let mut kb = KnowledgeBase::new();
-        for (i, n) in ["p", "q", "r", "s"].into_iter().enumerate() {
-            if i == 2 {
-                kb.freeze(); // digests must be seamless across the split
-            }
-            kb.add_local(mk(n));
-        }
-        for rules in 0..=4 {
-            let mut h = crate::hash::FxHasher::default();
-            for sr in kb.iter().take(rules) {
-                sr.rule.hash(&mut h);
-            }
-            assert_eq!(
-                kb.prefix_fingerprint(rules),
-                Some(KbFingerprint {
-                    rules,
-                    digest: h.finish()
-                })
-            );
-        }
-        assert_eq!(kb.prefix_fingerprint(5), None);
     }
 
     #[test]

@@ -40,7 +40,6 @@
 pub mod bindings;
 pub mod context;
 pub mod hash;
-pub mod heap;
 pub mod kb;
 pub mod literal;
 pub mod rule;
@@ -53,13 +52,11 @@ pub mod unify;
 /// Convenient re-exports of the types used by nearly every client.
 pub mod prelude {
     pub use crate::bindings::{
-        offset_term, unify_ground_in, unify_in, unify_literals_in, unify_offset_in, unify_opts_in,
-        Bindings, Checkpoint, ResolveCache, TrailStats,
+        unify_in, unify_literals_in, unify_opts_in, Bindings, Checkpoint, ResolveCache, TrailStats,
     };
     pub use crate::context::Context;
     pub use crate::hash::{FxBuildHasher, FxHashMap, FxHashSet};
-    pub use crate::heap::{HeapMark, HeapStats, TermHeap};
-    pub use crate::kb::{KbFingerprint, KnowledgeBase, RuleOrigin};
+    pub use crate::kb::{KnowledgeBase, RuleOrigin};
     pub use crate::literal::Literal;
     pub use crate::rule::{Rule, RuleId};
     pub use crate::subst::Subst;

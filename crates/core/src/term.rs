@@ -183,9 +183,8 @@ impl Term {
         }
     }
 
-    /// The first-argument index key of this term, or `None` for a
-    /// variable. Shared by the interpreted KB index and the compiled
-    /// dispatch tables so both narrow candidate sets identically.
+    /// The key this term files under in the KB's first-argument clause
+    /// index, or `None` for a variable.
     pub fn index_key(&self) -> Option<IndexKey> {
         match self {
             Term::Atom(s) => Some(IndexKey::Atom(*s)),

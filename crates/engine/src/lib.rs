@@ -17,29 +17,21 @@
 //!   enabled via [`EngineConfig::tabling`]; memoizes answers (with their
 //!   proofs) per goal variant so negotiations stop re-deriving the same
 //!   subgoals.
-//! * [`mod@reference`] — the pre-trail clone-per-branch interpreter, kept as a
-//!   differential-testing oracle and in-process benchmark baseline for the
-//!   trail-based hot path.
-//! * [`compile`] — the WAM-lite policy compiler: a one-shot pass from a
-//!   [`peertrust_core::KnowledgeBase`] to a flat bytecode KB
-//!   (switch-on-constant clause dispatch, get-instruction head matching,
-//!   frame-based standardize-apart), consulted by the solver when
-//!   [`EngineConfig::compiled`] is on or a [`CompiledKb`] is attached, and
-//!   guarded by a KB fingerprint so a stale artifact is never consulted.
+//!
+//! Clause selection has one path: the trail-based interpreter in [`sld`]
+//! (first-argument indexed candidates from the KB, rename-apart, destructive
+//! unification). Its differential oracle, a clone-per-branch reference
+//! interpreter, lives with the tests (`tests/support/reference.rs`).
 
 pub mod builtins;
-pub mod compile;
 pub mod explain;
 pub mod forward;
-pub mod reference;
 pub mod sld;
 pub mod table;
 
 pub use builtins::{eval_builtin, eval_builtin_in, BuiltinOutcome, BuiltinOutcomeIn};
-pub use compile::{CompiledFit, CompiledKb, CompiledSolver, HeadInstr};
 pub use explain::{explain, explain_with_rules, proof_summary};
 pub use forward::{saturate, ForwardConfig, Saturation};
-pub use reference::RefSolver;
 pub use sld::{
     canonical_answer_set, canonicalize, is_variant, EngineConfig, NoRemote, Proof, ProofStep,
     RemoteFallback, RemoteHook, SharedTable, Solution, Solver, Stats, TableHandle,

@@ -29,7 +29,6 @@
 //! disclose.
 
 use crate::builtins::{eval_builtin_in, BuiltinOutcomeIn};
-use crate::compile::{CompiledFit, CompiledKb};
 use crate::table::{AnswerTable, ConcurrentTable, Disposition, Probe, TableStats, TabledAnswer};
 use peertrust_core::{
     unify_literals_in, Bindings, FxHashMap, KnowledgeBase, Literal, PeerId, ResolveCache, RuleId,
@@ -167,13 +166,6 @@ pub struct EngineConfig {
     /// Cap on answers collected per tabled variant; a variant that hits
     /// the cap is recorded incomplete and resolved inline thereafter.
     pub table_max_answers: usize,
-    /// Resolve against a compiled (WAM-lite bytecode) view of the KB
-    /// (see `crate::compile`). If no compiled artifact was attached via
-    /// [`Solver::with_compiled`], the solver compiles the KB itself on
-    /// first solve. Off by default; answers are identical either way —
-    /// the compiled path only changes how clause heads are selected and
-    /// matched.
-    pub compiled: bool,
 }
 
 impl Default for EngineConfig {
@@ -186,7 +178,6 @@ impl Default for EngineConfig {
             remote_fallback: RemoteFallback::OnlyIfNoLocalClause,
             tabling: false,
             table_max_answers: 512,
-            compiled: false,
         }
     }
 }
@@ -360,23 +351,6 @@ pub struct Stats {
     pub trail_peak: u64,
     /// High-water mark of the dense variable-slot vector.
     pub slot_peak: u64,
-    /// Switch-on-constant dispatches into a compiled KB.
-    pub compiled_dispatches: u64,
-    /// Compiled head matches that succeeded.
-    pub compiled_head_matches: u64,
-    /// Compiled head matches that failed.
-    pub compiled_head_fails: u64,
-    /// Solves that found their compiled KB stale and fell back to full
-    /// interpretation (should be 0 in a correctly wired deployment).
-    pub compiled_stale: u64,
-    /// Put instructions executed to materialize compiled body goals.
-    pub compiled_body_instrs: u64,
-    /// Term cells pushed through the binding store's bump heap.
-    pub heap_cells: u64,
-    /// Bytes those cells occupy.
-    pub heap_bytes: u64,
-    /// Heap region resets (one per materialized goal).
-    pub heap_resets: u64,
     /// Whether the step budget was exhausted (result may be incomplete).
     pub step_budget_exhausted: bool,
 }
@@ -390,13 +364,6 @@ impl Stats {
         self.trail_peak = self.trail_peak.max(t.peak_trail);
         self.slot_peak = self.slot_peak.max(t.peak_slots);
     }
-
-    /// Fold one binding store's term-heap counters into the stats.
-    fn absorb_heap(&mut self, h: peertrust_core::HeapStats) {
-        self.heap_cells += h.cells;
-        self.heap_bytes += h.bytes;
-        self.heap_resets += h.resets;
-    }
 }
 
 /// The SLD solver. Borrow a KB, configure, and call [`Solver::solve`].
@@ -409,31 +376,12 @@ pub struct Solver<'a> {
     stats: Stats,
     telemetry: Telemetry,
     table: Option<TableHandle>,
-    /// Compiled view of `kb` (attached or auto-compiled when
-    /// `config.compiled`). Consulted only after a fingerprint fit check.
-    compiled: Option<Arc<CompiledKb>>,
-    /// Cached fit verdict: how many leading KB rules the compiled
-    /// artifact covers (0 = not consulted). Sound to cache because the
-    /// solver borrows the KB immutably for its whole lifetime.
-    compiled_cover: Option<usize>,
 }
 
 /// Work items on the evaluation agenda.
 enum GoalItem {
     /// Prove this literal at the given depth.
     Lit(Literal, usize),
-    /// Prove the `idx`-th body goal of a compiled clause instantiated at
-    /// frame `base`, at the given depth. The literal is *not* built when
-    /// the item is enqueued — the put program runs at selection time,
-    /// against the then-current bindings, which both skips the
-    /// copy-on-write `body_instance` instantiation and replaces the
-    /// interpreter's `apply_literal` resolution of the selected goal.
-    Compiled {
-        goals: Arc<[crate::compile::CompiledGoal]>,
-        idx: usize,
-        base: u32,
-        depth: usize,
-    },
     /// Marker: the previous `arity` proofs complete `goal` via `step`.
     Fold {
         goal: Literal,
@@ -475,8 +423,6 @@ impl<'a> Solver<'a> {
             stats: Stats::default(),
             telemetry: Telemetry::disabled(),
             table: None,
-            compiled: None,
-            compiled_cover: None,
         }
     }
 
@@ -488,27 +434,6 @@ impl<'a> Solver<'a> {
     pub fn with_hook(mut self, hook: &'a mut dyn RemoteHook) -> Solver<'a> {
         self.hook = Some(hook);
         self
-    }
-
-    /// Attach a compiled view of the KB (see `crate::compile`) and turn
-    /// the compiled path on. The artifact is consulted only while its
-    /// fingerprint still matches a prefix of the KB; a stale artifact is
-    /// ignored (counted in `Stats::compiled_stale`), never wrong.
-    pub fn with_compiled(mut self, compiled: Arc<CompiledKb>) -> Solver<'a> {
-        self.compiled = Some(compiled);
-        self.compiled_cover = None;
-        self.config.compiled = true;
-        self
-    }
-
-    /// [`Solver::with_compiled`] for an optional handle: `None` leaves
-    /// the solver fully interpreted. Convenient for call sites threading
-    /// a peer's maybe-compiled KB through.
-    pub fn with_compiled_opt(self, compiled: Option<Arc<CompiledKb>>) -> Solver<'a> {
-        match compiled {
-            Some(c) => self.with_compiled(c),
-            None => self,
-        }
     }
 
     /// Attach a telemetry pipeline: each [`Solver::solve`] call becomes an
@@ -571,23 +496,6 @@ impl<'a> Solver<'a> {
                 RefCell::new(AnswerTable::new()),
             )));
         }
-        if self.config.compiled && self.compiled.is_none() {
-            // No artifact attached: compile the KB once for this solver.
-            self.compiled = Some(Arc::new(CompiledKb::compile(self.kb)));
-            self.compiled_cover = None;
-        }
-        if self.compiled_cover.is_none() {
-            self.compiled_cover = Some(match &self.compiled {
-                Some(c) => match c.fit(self.kb) {
-                    CompiledFit::Full | CompiledFit::Prefix => c.prefix_len(),
-                    CompiledFit::Stale => {
-                        self.stats.compiled_stale += 1;
-                        0
-                    }
-                },
-                None => 0,
-            });
-        }
         let mut query_vars: Vec<Var> = Vec::new();
         for g in goals {
             g.collect_vars(&mut query_vars);
@@ -627,7 +535,6 @@ impl<'a> Solver<'a> {
         let mut bs = Bindings::new(self.rename_counter);
         let _ = self.prove(&agenda, &mut bs, &mut anc, &mut acc, &mut out, &query_vars);
         self.stats.absorb_trail(bs.take_stats());
-        self.stats.absorb_heap(bs.take_heap_stats());
 
         if self.telemetry.enabled() {
             self.flush_stats_delta(&before, &out);
@@ -691,32 +598,6 @@ impl<'a> Solver<'a> {
         );
         self.telemetry
             .incr("engine.trail.undone", d.trail_undone - before.trail_undone);
-        self.telemetry.incr(
-            "engine.compiled.dispatches",
-            d.compiled_dispatches - before.compiled_dispatches,
-        );
-        self.telemetry.incr(
-            "engine.compiled.head_matches",
-            d.compiled_head_matches - before.compiled_head_matches,
-        );
-        self.telemetry.incr(
-            "engine.compiled.head_fails",
-            d.compiled_head_fails - before.compiled_head_fails,
-        );
-        self.telemetry.incr(
-            "engine.compiled.stale",
-            d.compiled_stale - before.compiled_stale,
-        );
-        self.telemetry.incr(
-            "engine.compiled.body_instrs",
-            d.compiled_body_instrs - before.compiled_body_instrs,
-        );
-        self.telemetry
-            .incr("engine.heap.cells", d.heap_cells - before.heap_cells);
-        self.telemetry
-            .incr("engine.heap.bytes", d.heap_bytes - before.heap_bytes);
-        self.telemetry
-            .incr("engine.heap.resets", d.heap_resets - before.heap_resets);
         self.telemetry.observe("engine.trail.peak", d.trail_peak);
         self.telemetry
             .observe("engine.alloc.slot_peak", d.slot_peak);
@@ -809,32 +690,11 @@ impl<'a> Solver<'a> {
                 let goal = bs.apply_literal(goal);
                 self.prove_goal(goal, *depth, rest, bs, anc, acc, out, query_vars)
             }
-            GoalItem::Compiled {
-                goals,
-                idx,
-                base,
-                depth,
-            } => {
-                self.stats.steps += 1;
-                if self.stats.steps > self.config.max_steps {
-                    self.stats.step_budget_exhausted = true;
-                    return Flow::Stop;
-                }
-                // Run the put program: this *is* the `apply_literal`
-                // resolution of the selected goal, fused with body
-                // instantiation.
-                let g = &goals[*idx];
-                self.stats.compiled_body_instrs += g.instr_count() as u64;
-                let goal = g.materialize(*base, bs);
-                self.prove_goal(goal, *depth, rest, bs, anc, acc, out, query_vars)
-            }
         }
     }
 
-    /// Handle one selected goal, already resolved under `bs` (via
-    /// `apply_literal` on the interpreted path or put-program
-    /// materialization on the compiled path — the two produce identical
-    /// literals, which is what keeps the lanes byte-identical).
+    /// Handle one selected goal, already resolved under `bs` by
+    /// `apply_literal`.
     #[allow(clippy::too_many_arguments)]
     fn prove_goal(
         &mut self,
@@ -868,25 +728,16 @@ impl<'a> Solver<'a> {
                 return Flow::Continue; // flounder: non-ground negation
             }
             let refuted = {
-                let mut sub = Solver::new(self.kb, self.self_id)
-                    .with_config(EngineConfig {
-                        max_solutions: 1,
-                        remote_fallback: RemoteFallback::Never,
-                        ..self.config
-                    })
-                    .with_compiled_opt(self.compiled.clone());
-                // Same KB, same artifact: the fit verdict carries
-                // over, sparing the sub-solve a re-fingerprint.
-                sub.compiled_cover = self.compiled_cover;
+                let mut sub = Solver::new(self.kb, self.self_id).with_config(EngineConfig {
+                    max_solutions: 1,
+                    remote_fallback: RemoteFallback::Never,
+                    ..self.config
+                });
                 let proved = sub.provable(std::slice::from_ref(&inner));
                 self.stats.steps += sub.stats.steps;
                 self.stats.rule_tries += sub.stats.rule_tries;
                 self.stats.unify_attempts += sub.stats.unify_attempts;
                 self.stats.builtin_evals += sub.stats.builtin_evals;
-                self.stats.compiled_body_instrs += sub.stats.compiled_body_instrs;
-                self.stats.heap_cells += sub.stats.heap_cells;
-                self.stats.heap_bytes += sub.stats.heap_bytes;
-                self.stats.heap_resets += sub.stats.heap_resets;
                 !proved
             };
             if !refuted {
@@ -976,10 +827,7 @@ impl<'a> Solver<'a> {
             );
         }
 
-        // Local clauses: the compiled prefix first (when a
-        // compiled KB fits), then the uncompiled suffix
-        // interpretively — together that is exactly clause
-        // (insertion) order over the whole KB.
+        // Local clauses, in clause (insertion) order.
         let mut any_local_clause = false;
         if let Flow::Stop = self.local_clauses(
             &goal,
@@ -1067,11 +915,9 @@ impl<'a> Solver<'a> {
     }
 
     /// Try every local clause whose head could match `target`, in clause
-    /// order: compiled-prefix clauses via switch-on-constant dispatch and
-    /// get-instruction head matching, then the uncompiled suffix through
-    /// the interpreted rename-and-unify path. `goal` is what proof nodes
-    /// record (it differs from `target` on the §3.2 self-closure pass).
-    /// Sets `*any` when at least one head unified.
+    /// order: rename each candidate apart and unify its head. `goal` is
+    /// what proof nodes record (it differs from `target` on the §3.2
+    /// self-closure pass). Sets `*any` when at least one head unified.
     #[allow(clippy::too_many_arguments)]
     fn local_clauses(
         &mut self,
@@ -1086,71 +932,9 @@ impl<'a> Solver<'a> {
         query_vars: &[Var],
         any: &mut bool,
     ) -> Flow {
-        let prefix = self.compiled_cover.unwrap_or(0);
-        if prefix > 0 {
-            let compiled = self.compiled.clone().expect("cover implies artifact");
-            self.stats.compiled_dispatches += 1;
-            for &ci in compiled.dispatch(target) {
-                let clause = compiled.clause(ci);
-                self.stats.rule_tries += 1;
-                self.stats.unify_attempts += 1;
-                let base = self.rename_counter;
-                let cp = bs.checkpoint();
-                if !clause.match_head(base, target, bs) {
-                    self.stats.compiled_head_fails += 1;
-                    continue; // match_head rolled back already
-                }
-                self.stats.compiled_head_matches += 1;
-                // Reserve the clause's frame only on a successful match
-                // — the whole point of baking standardize-apart into the
-                // frame layout.
-                self.rename_counter += clause.nvars;
-                *any = true;
-                let flow = if compiled.has_bodies() {
-                    // Body bytecode: enqueue put programs by reference;
-                    // each goal is built at its own selection time.
-                    self.alternative_compiled(
-                        goal,
-                        ProofStep::Rule(clause.id),
-                        clause.goals(),
-                        base,
-                        depth,
-                        rest,
-                        bs,
-                        anc,
-                        acc,
-                        out,
-                        query_vars,
-                    )
-                } else {
-                    // Heads-only mode: copy-on-write body instantiation.
-                    let body = clause.body_instance(base);
-                    self.alternative(
-                        goal,
-                        ProofStep::Rule(clause.id),
-                        &body,
-                        depth,
-                        rest,
-                        bs,
-                        anc,
-                        acc,
-                        out,
-                        query_vars,
-                    )
-                };
-                bs.rollback(cp);
-                if let Flow::Stop = flow {
-                    return Flow::Stop;
-                }
-            }
-            if self.kb.len() <= prefix {
-                return Flow::Continue; // fully compiled, no suffix
-            }
-        }
         let candidates: Vec<_> = self
             .kb
             .candidates(target)
-            .filter(|sr| sr.id.0 as usize >= prefix)
             .map(|sr| (sr.id, sr.rule.clone()))
             .collect();
         for (id, rule) in &candidates {
@@ -1223,50 +1007,6 @@ impl<'a> Solver<'a> {
         flow
     }
 
-    /// [`Solver::alternative`] for a compiled clause: the body goes on
-    /// the agenda as `(put program, index)` references into the shared
-    /// clause — no literal is instantiated, cloned, or even touched until
-    /// the goal is actually selected.
-    #[allow(clippy::too_many_arguments)]
-    fn alternative_compiled(
-        &mut self,
-        goal: &Literal,
-        step: ProofStep,
-        goals: Arc<[crate::compile::CompiledGoal]>,
-        base: u32,
-        depth: usize,
-        rest: &Agenda,
-        bs: &mut Bindings,
-        anc: &mut Vec<Literal>,
-        acc: &mut Vec<Proof>,
-        out: &mut Vec<Solution>,
-        query_vars: &[Var],
-    ) -> Flow {
-        let mut agenda = cons(
-            GoalItem::Fold {
-                goal: goal.clone(),
-                step,
-                arity: goals.len(),
-            },
-            rest.clone(),
-        );
-        for idx in (0..goals.len()).rev() {
-            agenda = cons(
-                GoalItem::Compiled {
-                    goals: Arc::clone(&goals),
-                    idx,
-                    base,
-                    depth: depth + 1,
-                },
-                agenda,
-            );
-        }
-        anc.push(goal.clone());
-        let flow = self.prove(&agenda, bs, anc, acc, out, query_vars);
-        anc.pop();
-        flow
-    }
-
     /// Answer `goal` from the table. Returns the flow to propagate, or
     /// `None` when the occurrence must be resolved inline (variant in
     /// progress — a cycle through the table — or recorded incomplete).
@@ -1324,7 +1064,6 @@ impl<'a> Solver<'a> {
             &sub_vars,
         );
         self.stats.absorb_trail(sub_bs.take_stats());
-        self.stats.absorb_heap(sub_bs.take_heap_stats());
         self.config.max_solutions = saved_max;
 
         let capped = sub_out.len() >= self.config.table_max_answers;

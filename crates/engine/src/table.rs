@@ -213,16 +213,6 @@ impl AnswerTable {
         self.stats.inline_fallbacks += 1;
     }
 
-    /// Iterate over every recorded variant with its disposition and
-    /// answers, in no particular order. Read-only (records no hits);
-    /// used by the compiled-vs-interpreted differential tests to compare
-    /// whole table contents.
-    pub fn entries(&self) -> impl Iterator<Item = (&Literal, Disposition, &[TabledAnswer])> {
-        self.entries
-            .iter()
-            .map(|(k, e)| (k, e.disposition, e.answers.as_slice()))
-    }
-
     /// Drop every entry (keeps the stats).
     pub fn clear(&mut self) {
         self.entries.clear();

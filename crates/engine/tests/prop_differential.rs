@@ -1,14 +1,16 @@
 //! Differential property tests: the trail-based production solver and the
-//! clone-per-branch reference interpreter ([`peertrust_engine::RefSolver`])
-//! are observationally identical on the local fragment — same answers, in
-//! the same order, with the same proof trees — and the answer table's
-//! recorded contents match what the reference interpreter derives.
+//! clone-per-branch reference interpreter (`support/reference.rs`) are
+//! observationally identical on the local fragment — same answers, in the
+//! same order, with the same proof trees — and the answer table's recorded
+//! contents match what the reference interpreter derives.
+
+#[path = "support/reference.rs"]
+mod reference;
 
 use peertrust_core::prelude::*;
-use peertrust_engine::{
-    canonicalize, AnswerTable, EngineConfig, Proof, RefSolver, Solution, Solver,
-};
+use peertrust_engine::{canonicalize, AnswerTable, EngineConfig, Proof, Solution, Solver};
 use proptest::prelude::*;
+use reference::RefSolver;
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::rc::Rc;
@@ -69,6 +71,52 @@ fn arb_program() -> impl Strategy<Value = Program> {
     })
 }
 
+/// Random delegation programs: ground `d{p}(a,b) @ "auth{k}"` facts, an
+/// optional open-authority rule `d{p}(X,Y) @ V <- base(X,Y)` whose head
+/// authority is a variable, and `q` rules whose bodies delegate to a fixed
+/// authority. Exercises authority-chain unification, open-authority heads
+/// and the §3.2 self-closure pass, none of which `arb_program` generates.
+fn arb_auth_program() -> impl Strategy<Value = Program> {
+    let base = prop::collection::vec(
+        (arb_const(), arb_const()).prop_map(|(a, b)| Rule::fact(Literal::new("base", vec![a, b]))),
+        1..4,
+    );
+    let delegated = prop::collection::vec(
+        (0u32..2, arb_const(), arb_const(), 0u32..2).prop_map(|(p, a, b, k)| {
+            Rule::fact(
+                Literal::new(format!("d{p}").as_str(), vec![a, b])
+                    .at(Term::str(format!("auth{k}").as_str())),
+            )
+        }),
+        1..6,
+    );
+    let open = prop::collection::vec(
+        (0u32..2).prop_map(|p| {
+            let (x, y) = (Term::var("X"), Term::var("Y"));
+            Rule::horn(
+                Literal::new(format!("d{p}").as_str(), vec![x.clone(), y.clone()])
+                    .at(Term::var("V")),
+                vec![Literal::new("base", vec![x, y])],
+            )
+        }),
+        0..2,
+    );
+    let deleg_rules = prop::collection::vec(
+        (0u32..2, 0u32..2).prop_map(|(p, k)| {
+            let (x, y) = (Term::var("X"), Term::var("Y"));
+            Rule::horn(
+                Literal::new("q", vec![x.clone(), y.clone()]),
+                vec![Literal::new(format!("d{p}").as_str(), vec![x, y])
+                    .at(Term::str(format!("auth{k}").as_str()))],
+            )
+        }),
+        0..3,
+    );
+    (base, delegated, open, deleg_rules).prop_map(|(b, d, o, r)| Program {
+        rules: b.into_iter().chain(d).chain(o).chain(r).collect(),
+    })
+}
+
 fn config() -> EngineConfig {
     EngineConfig {
         max_solutions: 512,
@@ -118,6 +166,33 @@ proptest! {
                 &got_r, &want_r,
                 "solvers diverge on {}: trail {:?} vs reference {:?}",
                 pred, got_r, want_r
+            );
+        }
+    }
+
+    /// Authority-heavy delegation programs: both solvers agree on who can
+    /// prove what — including goals answered by an open-authority rule and
+    /// rules whose bodies delegate to an authority.
+    #[test]
+    fn trail_solver_matches_reference_on_authority_programs(prog in arb_auth_program()) {
+        let kb: KnowledgeBase = prog.rules.iter().cloned().collect();
+        for (pred, auth) in [("d0", Some("auth0")), ("d0", Some("auth1")), ("d1", Some("auth0")), ("q", None)] {
+            let mut goal = Literal::new(pred, vec![Term::var("A"), Term::var("B")]);
+            if let Some(a) = auth {
+                goal = goal.at(Term::str(a));
+            }
+            let mut production = Solver::new(&kb, PeerId::new("self")).with_config(config());
+            let got = production.solve(std::slice::from_ref(&goal));
+            let mut reference = RefSolver::new(&kb, PeerId::new("self")).with_config(config());
+            let want = reference.solve(std::slice::from_ref(&goal));
+            prop_assume!(!production.stats().step_budget_exhausted);
+
+            let got_r: Vec<_> = got.iter().map(|s| render(&goal, s)).collect();
+            let want_r: Vec<_> = want.iter().map(|s| render(&goal, s)).collect();
+            prop_assert_eq!(
+                &got_r, &want_r,
+                "solvers diverge on {}@{:?}: trail {:?} vs reference {:?}",
+                pred, auth, got_r, want_r
             );
         }
     }

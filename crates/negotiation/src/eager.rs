@@ -239,9 +239,8 @@ fn grantable_locally(
 ) -> Option<(Vec<Literal>, Context, Vec<Evidence>)> {
     let peer = peers.get(responder)?;
     let solutions = {
-        let mut solver = Solver::new(&peer.kb, responder)
-            .with_config(local_config(peer.config.engine))
-            .with_compiled_opt(peer.compiled());
+        let mut solver =
+            Solver::new(&peer.kb, responder).with_config(local_config(peer.config.engine));
         solver.solve(std::slice::from_ref(goal))
     };
     let mut granted = Vec::new();
@@ -311,9 +310,7 @@ fn license_locally(
         let mut ctx_goals = Vec::new();
         if !ctx.is_public() {
             ctx_goals = ctx.instantiate(recipient, peer.id);
-            let mut solver = Solver::new(kb, peer.id)
-                .with_config(engine)
-                .with_compiled_opt(peer.compiled());
+            let mut solver = Solver::new(kb, peer.id).with_config(engine);
             match solver.solve(&ctx_goals).into_iter().next() {
                 Some(sol) => evidence = classify_evidence(peer, ledger, &sol.proofs),
                 None => continue,
@@ -323,9 +320,7 @@ fn license_locally(
         let body: Vec<Literal> = renamed.body.iter().map(|b| s.apply_literal(b)).collect();
         let body_is_answer = body.len() == 1 && body[0] == *answer;
         if !renamed.body.is_empty() && !body_is_answer {
-            let mut solver = Solver::new(kb, peer.id)
-                .with_config(engine)
-                .with_compiled_opt(peer.compiled());
+            let mut solver = Solver::new(kb, peer.id).with_config(engine);
             if !solver.provable(&body) {
                 continue;
             }
@@ -355,9 +350,8 @@ pub(crate) fn grantable_locally_for_host(
 ) -> Option<Vec<Literal>> {
     let mut rename_seq = 0u32;
     let solutions = {
-        let mut solver = Solver::new(&peer.kb, peer.id)
-            .with_config(local_config(peer.config.engine))
-            .with_compiled_opt(peer.compiled());
+        let mut solver =
+            Solver::new(&peer.kb, peer.id).with_config(local_config(peer.config.engine));
         solver.solve(std::slice::from_ref(goal))
     };
     let mut granted = Vec::new();

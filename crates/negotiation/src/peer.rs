@@ -10,7 +10,7 @@
 
 use peertrust_core::{KnowledgeBase, Literal, PeerId, Rule, RuleId, Sym};
 use peertrust_crypto::{sign_rule, verify_signed_rule, KeyRegistry, SigError, SignedRule};
-use peertrust_engine::{CompiledKb, EngineConfig};
+use peertrust_engine::EngineConfig;
 use peertrust_parser::{parse_program, ParseError};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -110,7 +110,7 @@ pub fn sender_extended(rule: &Rule, from: PeerId) -> Option<Rule> {
 ///
 /// `Clone` snapshots the peer. After [`NegotiationPeer::freeze`] the
 /// snapshot is copy-on-write: the KB's frozen base segment, the frozen
-/// signed-rule map, the registry and any compiled KB are all `Arc`-shared,
+/// signed-rule map and the registry are all `Arc`-shared,
 /// so cloning costs O(overlay) — a handful of pointer bumps for a peer
 /// that has not changed since the freeze. The batch scheduler and the
 /// open-loop serving driver freeze the peer map once at setup and then
@@ -133,13 +133,6 @@ pub struct NegotiationPeer {
     /// mid-session land here). Rule ids are fresh KB ids, so the two maps
     /// are disjoint by construction.
     signed_overlay: HashMap<RuleId, SignedRule>,
-    /// Compiled (WAM-lite bytecode) view of `kb`, built once by
-    /// [`NegotiationPeer::compile_policies`] and `Arc`-shared into every
-    /// solver this peer runs. Credentials received mid-negotiation only
-    /// *append* to the KB, so the artifact stays prefix-valid; the
-    /// engine's fingerprint check makes a stale artifact harmless
-    /// regardless.
-    compiled: Option<Arc<CompiledKb>>,
 }
 
 impl NegotiationPeer {
@@ -151,7 +144,6 @@ impl NegotiationPeer {
             registry,
             signed_base: Arc::new(HashMap::new()),
             signed_overlay: HashMap::new(),
-            compiled: None,
         }
     }
 
@@ -181,22 +173,6 @@ impl NegotiationPeer {
     /// map.
     pub fn is_frozen(&self) -> bool {
         self.kb.frozen_len() == self.kb.len() && self.signed_overlay.is_empty()
-    }
-
-    /// Compile this peer's current KB to the engine's WAM-lite bytecode
-    /// form (see `peertrust_engine::compile`). Call after policy loading;
-    /// every subsequent local solve dispatches over the compiled clauses,
-    /// with rules appended later (pushed credentials) resolved
-    /// interpretively behind them. Recompile after bulk KB growth to
-    /// fold the new rules into the dispatch tables.
-    pub fn compile_policies(&mut self) {
-        self.compiled = Some(Arc::new(CompiledKb::compile(&self.kb)));
-    }
-
-    /// The compiled KB handle, if [`NegotiationPeer::compile_policies`]
-    /// ran. Cheap to clone (`Arc`).
-    pub fn compiled(&self) -> Option<Arc<CompiledKb>> {
-        self.compiled.clone()
     }
 
     /// Add one local (unsigned) rule.

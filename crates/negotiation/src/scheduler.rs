@@ -9,7 +9,7 @@
 //!
 //! * its own *pristine* snapshot of the peer map. The batch freezes the
 //!   map once at setup ([`PeerMap::freeze`], DESIGN.md §4i), so every
-//!   peer's rule store, signed-rule map and compiled KB live behind
+//!   peer's rule store and signed-rule map live behind
 //!   `Arc`s and the per-job snapshot is a copy-on-write view: cloning
 //!   costs O(#peers) pointer bumps, not O(total KB). Jobs never observe
 //!   each other's session mutations — disclosures received mid-session
@@ -120,13 +120,6 @@ pub struct BatchConfig {
     /// lane and driven resiliently. `None` is the historical fault-free
     /// path, bit-identical to before this field existed.
     pub faults: Option<BatchFaults>,
-    /// Compile every peer's KB to the engine's WAM-lite bytecode form
-    /// once, before fanning jobs out. The compiled artifacts are
-    /// `Arc`-shared into every job's peer-map snapshot (cloning a peer
-    /// clones the handle, not the bytecode), so the per-solve
-    /// standardize-apart and clause-scan work is paid once per batch
-    /// instead of once per derivation. Answers are unchanged.
-    pub compile_policies: bool,
 }
 
 impl Default for BatchConfig {
@@ -137,7 +130,6 @@ impl Default for BatchConfig {
             net_seed: 7,
             shared_cache: None,
             faults: None,
-            compile_policies: false,
         }
     }
 }
@@ -189,21 +181,10 @@ pub fn negotiate_batch(
     let workers = cfg.workers.max(1).min(jobs.len().max(1));
     // Freeze once per batch: the per-job `peers.clone()` in `run_job`
     // then shares every peer's frozen KB base, signed map and registry
-    // by `Arc` instead of deep-copying the rule stores (the pre-PR 10
-    // dominant per-job cost). With `compile_policies` set the KBs are
-    // additionally compiled *after* freezing, so the `Arc<CompiledKb>`
-    // artifacts cover the whole frozen prefix and are shared into every
-    // snapshot.
-    let prepared = (cfg.compile_policies || !peers.is_frozen()).then(|| {
+    // by `Arc` instead of deep-copying the rule stores.
+    let prepared = (!peers.is_frozen()).then(|| {
         let mut prepared = peers.clone();
         prepared.freeze();
-        if cfg.compile_policies {
-            for id in prepared.ids() {
-                if let Some(peer) = prepared.get_mut(id) {
-                    peer.compile_policies();
-                }
-            }
-        }
         prepared
     });
     let peers = prepared.as_ref().unwrap_or(peers);
@@ -565,34 +546,6 @@ mod tests {
                 .map(full_key)
                 .collect();
             assert_eq!(run, baseline, "divergence at {workers} workers");
-        }
-    }
-
-    #[test]
-    fn precompiled_batches_are_bit_identical_to_interpreted_batches() {
-        let (peers, jobs) = bilateral_batch(6);
-        let baseline: Vec<String> = negotiate_batch(
-            &peers,
-            &jobs,
-            &BatchConfig::default(),
-            &Telemetry::disabled(),
-        )
-        .outcomes
-        .iter()
-        .map(full_key)
-        .collect();
-        for workers in [1, 4] {
-            let cfg = BatchConfig {
-                workers,
-                compile_policies: true,
-                ..BatchConfig::default()
-            };
-            let run: Vec<String> = negotiate_batch(&peers, &jobs, &cfg, &Telemetry::disabled())
-                .outcomes
-                .iter()
-                .map(full_key)
-                .collect();
-            assert_eq!(run, baseline, "compiled divergence at {workers} workers");
         }
     }
 

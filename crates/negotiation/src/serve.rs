@@ -79,9 +79,6 @@ pub struct ServeConfig {
     /// sequentially in virtual start order (cache warmth then depends
     /// only on that deterministic order, keeping the run reproducible).
     pub shared_cache: Option<SharedRemoteAnswerCache>,
-    /// Compile every peer's KB to WAM-lite bytecode at freeze time; the
-    /// `Arc<CompiledKb>` artifacts are shared into every job snapshot.
-    pub compile_policies: bool,
 }
 
 impl Default for ServeConfig {
@@ -96,7 +93,6 @@ impl Default for ServeConfig {
             workers: 1,
             session: SessionConfig::default(),
             shared_cache: None,
-            compile_policies: false,
         }
     }
 }
@@ -316,19 +312,12 @@ pub fn serve_open_loop(
     cfg: &ServeConfig,
     telemetry: &Telemetry,
 ) -> ServeReport {
-    // Freeze (and optionally compile) once, exactly like the batch
-    // scheduler: every per-job snapshot below is then a copy-on-write
-    // view over Arc-shared rule stores.
-    let prepared = (cfg.compile_policies || !peers.is_frozen()).then(|| {
+    // Freeze once, exactly like the batch scheduler: every per-job
+    // snapshot below is then a copy-on-write view over Arc-shared rule
+    // stores.
+    let prepared = (!peers.is_frozen()).then(|| {
         let mut prepared = peers.clone();
         prepared.freeze();
-        if cfg.compile_policies {
-            for id in prepared.ids() {
-                if let Some(peer) = prepared.get_mut(id) {
-                    peer.compile_policies();
-                }
-            }
-        }
         prepared
     });
     let peers = prepared.as_ref().unwrap_or(peers);

@@ -1588,9 +1588,6 @@ impl<'a> Session<'a> {
 
         let kb = peer.kb.clone();
         let engine_cfg = peer.config.engine;
-        // `kb` is a clone of the peer's KB, so the compiled artifact's
-        // prefix fingerprint matches it exactly.
-        let compiled = peer.compiled();
         let strict_push = self.cfg.strict_push_release;
 
         let solutions = {
@@ -1602,7 +1599,6 @@ impl<'a> Session<'a> {
             };
             let mut solver = Solver::new(&kb, responder)
                 .with_config(engine_cfg)
-                .with_compiled_opt(compiled)
                 .with_hook(&mut hook)
                 .with_telemetry(telemetry);
             solver.solve(std::slice::from_ref(goal))
@@ -1694,9 +1690,8 @@ impl<'a> Session<'a> {
                                             let mut cfg = peer.config.engine;
                                             cfg.remote_fallback =
                                                 peertrust_engine::RemoteFallback::Never;
-                                            let mut solver = Solver::new(&peer.kb, responder)
-                                                .with_config(cfg)
-                                                .with_compiled_opt(peer.compiled());
+                                            let mut solver =
+                                                Solver::new(&peer.kb, responder).with_config(cfg);
                                             if !solver.provable(&goals) {
                                                 continue;
                                             }
@@ -1826,9 +1821,6 @@ impl<'a> Session<'a> {
         }
         let responder_peer = self.peers.get(responder).expect("responder exists");
         let engine_cfg = responder_peer.config.engine;
-        // Valid for `kb` whenever it is (a clone of) the responder's KB;
-        // the engine's fingerprint check ignores it otherwise.
-        let compiled = responder_peer.compiled();
         let candidates: Vec<(peertrust_core::RuleId, peertrust_core::Rule)> = kb
             .candidates(answer)
             .map(|sr| (sr.id, sr.rule.as_ref().clone()))
@@ -1868,7 +1860,6 @@ impl<'a> Session<'a> {
                     };
                     let mut solver = Solver::new(kb, responder)
                         .with_config(engine_cfg)
-                        .with_compiled_opt(compiled.clone())
                         .with_hook(&mut hook)
                         .with_telemetry(telemetry);
                     solver.solve(&ctx_goals)
@@ -1895,7 +1886,6 @@ impl<'a> Session<'a> {
                     };
                     let mut solver = Solver::new(kb, responder)
                         .with_config(engine_cfg)
-                        .with_compiled_opt(compiled.clone())
                         .with_hook(&mut hook)
                         .with_telemetry(telemetry);
                     solver.provable(&body)

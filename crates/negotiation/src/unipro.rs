@@ -140,9 +140,7 @@ pub fn disclosable_definition(
             }
             if !ctx.is_public() {
                 let goals = ctx.instantiate(requester, owner.id);
-                let mut solver = Solver::new(&owner.kb, owner.id)
-                    .with_config(engine)
-                    .with_compiled_opt(owner.compiled());
+                let mut solver = Solver::new(&owner.kb, owner.id).with_config(engine);
                 if !solver.provable(&goals) {
                     continue;
                 }

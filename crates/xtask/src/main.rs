@@ -2,38 +2,17 @@
 //! no build dependencies).
 //!
 //! `cargo xtask verify` runs the exact step sequence of
-//! `.github/workflows/ci.yml` — format, clippy, release build, tests,
-//! docs, the experiments binary, and the `e13_caching`/`e14_throughput`
-//! bench smokes — so the local verification recipe and CI cannot drift:
-//! editing one means editing [`STEPS`], which is what both consume.
-//! `cargo xtask verify --threads` appends [`THREAD_STEPS`], the
-//! concurrent-path smoke pass (shared-table stress, batch-scheduler
-//! determinism, shared-cache concurrency). `cargo xtask verify --faults`
-//! appends [`FAULT_STEPS`], the fault-injection/resilience pass
-//! (conservation and byte-identity proptests, resilience differential
-//! and convergence proptests, faulty-batch determinism).
-//! `cargo xtask verify --compiled` appends [`COMPILED_STEPS`], the
-//! compiled-KB differential lane (four-lane differential proptests —
-//! body-compiled, heads-only, interpreter, reference — the
-//! compile-module unit suite, and the gated two-lane quickbench).
-//! `cargo xtask verify --gem` appends [`GEM_STEPS`], the distributed
-//! tabling lane (GEM unit + session tests, the acyclic bit-identity and
-//! cyclic-mesh differential proptests, and the GEM batch determinism
-//! test). `cargo xtask verify --serve` appends [`SERVE_STEPS`], the
-//! open-loop serving lane (serve unit suite with the cross-worker
-//! determinism and admission-control tests, the sketch-merge algebra
-//! proptests, and the gated `e18_serving` quickbench).
+//! `.github/workflows/ci.yml` — format, clippy, release build, the whole
+//! workspace's tests, docs, the experiments binary, the gated quickbench,
+//! the `ptbench --smoke` end-to-end run, and the criterion bench smokes —
+//! so the local verification recipe and CI cannot drift: editing one
+//! means editing [`STEPS`], which is what both consume.
 //!
-//! `cargo xtask bench --quick` runs the quickbench harness's e8/e13
-//! smoke scenarios in both the interpreted and compiled lanes, writes
-//! `target/BENCH_PR8.json`, and fails on any of: a compiled cold
-//! scenario slower than its same-run interpreted counterpart (the PR 8
-//! parity gate), interpreted e8 deep-chain >25% over
-//! `BENCH_BASELINE_PR5.json`, any cold scenario >25% over
-//! `BENCH_BASELINE_PR8.json`/`BENCH_BASELINE_PR9.json`/
-//! `BENCH_BASELINE_PR10.json`, or any deterministic work counter
-//! (resolution steps, heap cells, body instructions, serving admission
-//! decisions) differing from its baseline at all.
+//! `cargo xtask bench --quick` runs the quickbench harness, writes
+//! `target/BENCH.json`, and fails when a cold e8/e13 scenario is >25%
+//! over `BENCH_BASELINE.json`, `e17_gem_mesh` or `e18_serving` is >3x
+//! over it, or any deterministic work counter (resolution steps, serving
+//! admission decisions) differs from its baseline at all.
 
 use std::process::Command;
 
@@ -91,19 +70,7 @@ const STEPS: &[Step] = &[
         &[],
     ),
     step(
-        "trace smoke (well-formed, deterministic causal traces)",
-        &[
-            "test",
-            "-q",
-            "-p",
-            "peertrust-negotiation",
-            "--test",
-            "prop_trace",
-        ],
-        &[],
-    ),
-    step(
-        "quick bench (e8/e13 smoke, both lanes + baseline gates)",
+        "quick bench (baseline gates + exact work counters)",
         &[
             "run",
             "--release",
@@ -114,15 +81,23 @@ const STEPS: &[Step] = &[
             "--",
             "--quick",
             "--out",
-            "target/BENCH_PR8.json",
+            "target/BENCH.json",
             "--baseline",
-            "BENCH_BASELINE_PR5.json",
-            "--baseline-pr8",
-            "BENCH_BASELINE_PR8.json",
-            "--baseline-pr9",
-            "BENCH_BASELINE_PR9.json",
-            "--baseline-pr10",
-            "BENCH_BASELINE_PR10.json",
+            "BENCH_BASELINE.json",
+        ],
+        &[],
+    ),
+    step(
+        "ptbench smoke (pinned E1/E2/E3 outcomes, safe disclosure sequences)",
+        &[
+            "run",
+            "--release",
+            "-p",
+            "peertrust-bench",
+            "--bin",
+            "ptbench",
+            "--",
+            "--smoke",
         ],
         &[],
     ),
@@ -184,269 +159,20 @@ const STEPS: &[Step] = &[
     ),
 ];
 
-/// Extra steps behind `cargo xtask verify --threads`: the concurrent-path
-/// smoke pass — the 8-thread shared-table stress test, the batch
-/// scheduler's determinism suite, and the shared-cache concurrency tests.
-const THREAD_STEPS: &[Step] = &[
-    step(
-        "engine concurrent-table stress",
-        &[
-            "test",
-            "-q",
-            "-p",
-            "peertrust-engine",
-            "--test",
-            "concurrent_table",
-        ],
-        &[],
-    ),
-    step(
-        "batch scheduler determinism",
-        &[
-            "test",
-            "-q",
-            "-p",
-            "peertrust-negotiation",
-            "--lib",
-            "scheduler::",
-        ],
-        &[],
-    ),
-    step(
-        "shared remote-answer cache",
-        &[
-            "test",
-            "-q",
-            "-p",
-            "peertrust-negotiation",
-            "--lib",
-            "answer_cache::tests::shared_cache",
-        ],
-        &[],
-    ),
-];
-
-/// Extra steps behind `cargo xtask verify --faults`: the
-/// fault-injection/resilience pass — the net-layer conservation and
-/// byte-identity proptests, the resilience differential/convergence
-/// proptests, and the faulty-batch determinism tests.
-const FAULT_STEPS: &[Step] = &[
-    step(
-        "net fault-lane proptests (conservation, byte-identity)",
-        &["test", "-q", "-p", "peertrust-net", "--test", "prop_faults"],
-        &[],
-    ),
-    step(
-        "net fault-lane unit tests",
-        &["test", "-q", "-p", "peertrust-net", "--lib", "faults::"],
-        &[],
-    ),
-    step(
-        "resilience proptests (differential, convergence, crash-resume)",
-        &[
-            "test",
-            "-q",
-            "-p",
-            "peertrust-negotiation",
-            "--test",
-            "prop_resilience",
-        ],
-        &[],
-    ),
-    step(
-        "resilient session + faulty-batch tests",
-        &[
-            "test",
-            "-q",
-            "-p",
-            "peertrust-negotiation",
-            "--lib",
-            "resilience::",
-        ],
-        &[],
-    ),
-    step(
-        "faulty-batch determinism",
-        &[
-            "test",
-            "-q",
-            "-p",
-            "peertrust-negotiation",
-            "--lib",
-            "scheduler::tests::faulty",
-        ],
-        &[],
-    ),
-];
-
-/// Extra steps behind `cargo xtask verify --compiled`: the compiled-KB
-/// differential lane — compiled-vs-reference/interpreter proptests
-/// (solutions, proofs, tables, prefix fits), the compile module's unit
-/// suite (indexing, staleness, head-match parity, body lowering,
-/// authority dispatch), and the two-lane quickbench with the compiled
-/// parity gate and exact work-counter checks. Mirrors the CI
-/// `compiled-differential` job.
-const COMPILED_STEPS: &[Step] = &[
-    step(
-        "compiled differential proptests (vs interpreter + reference)",
-        &[
-            "test",
-            "-q",
-            "-p",
-            "peertrust-engine",
-            "--test",
-            "prop_compiled",
-        ],
-        &[],
-    ),
-    step(
-        "compile module unit tests",
-        &["test", "-q", "-p", "peertrust-engine", "--lib", "compile::"],
-        &[],
-    ),
-    step(
-        "two-lane quickbench (compiled parity gate)",
-        &[
-            "run",
-            "--release",
-            "-p",
-            "peertrust-bench",
-            "--bin",
-            "quickbench",
-            "--",
-            "--quick",
-            "--lane",
-            "both",
-            "--out",
-            "target/BENCH_PR8.json",
-            "--baseline",
-            "BENCH_BASELINE_PR5.json",
-            "--baseline-pr8",
-            "BENCH_BASELINE_PR8.json",
-            "--baseline-pr9",
-            "BENCH_BASELINE_PR9.json",
-            "--baseline-pr10",
-            "BENCH_BASELINE_PR10.json",
-        ],
-        &[],
-    ),
-];
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("verify") => verify(
-            args.iter().any(|a| a == "--threads"),
-            args.iter().any(|a| a == "--faults"),
-            args.iter().any(|a| a == "--compiled"),
-            args.iter().any(|a| a == "--gem"),
-            args.iter().any(|a| a == "--serve"),
-        ),
+        Some("verify") => verify(),
         Some("bench") => bench(args.iter().any(|a| a == "--quick")),
         _ => {
-            eprintln!(
-                "usage: cargo xtask <verify [--threads] [--faults] [--compiled] [--gem] [--serve] | bench [--quick]>"
-            );
+            eprintln!("usage: cargo xtask <verify | bench [--quick]>");
             std::process::exit(2);
         }
     }
 }
 
-/// Extra steps behind `cargo xtask verify --gem`: the distributed
-/// tabling lane — the GEM table/SCC unit tests plus the session-level
-/// mutual-recursion and cache-suppression tests (anything matching
-/// `gem` in the negotiation lib suite), the acyclic bit-identity and
-/// cyclic-mesh initiator-independence/fault-convergence proptests, and
-/// the GEM batch determinism test across worker counts.
-const GEM_STEPS: &[Step] = &[
-    step(
-        "gem tabling unit + session tests",
-        &["test", "-q", "-p", "peertrust-negotiation", "--lib", "gem"],
-        &[],
-    ),
-    step(
-        "gem differential + mesh proptests",
-        &[
-            "test",
-            "-q",
-            "-p",
-            "peertrust-scenarios",
-            "--test",
-            "prop_gem",
-        ],
-        &[],
-    ),
-    step(
-        "gem mesh generator tests",
-        &[
-            "test",
-            "-q",
-            "-p",
-            "peertrust-scenarios",
-            "--lib",
-            "delegation_mesh",
-        ],
-        &[],
-    ),
-];
-
-/// Extra steps behind `cargo xtask verify --serve`: the open-loop
-/// serving lane — the serve module's unit suite (overload shedding with
-/// typed refusals, bit-identical decisions and metrics across runs and
-/// worker counts, clone-free session startup, shared-cache warm-up),
-/// the quantile-sketch merge-algebra proptests that the cross-worker
-/// metric merge relies on, and the quickbench run whose `e18_serving`
-/// scenario is gated at 3x against `BENCH_BASELINE_PR10.json` with
-/// exact admission-decision counters. Mirrors the CI `serving` job.
-const SERVE_STEPS: &[Step] = &[
-    step(
-        "open-loop serving unit tests",
-        &[
-            "test",
-            "-q",
-            "-p",
-            "peertrust-negotiation",
-            "--lib",
-            "serve::",
-        ],
-        &[],
-    ),
-    step(
-        "quantile-sketch merge proptests",
-        &[
-            "test",
-            "-q",
-            "-p",
-            "peertrust-telemetry",
-            "--test",
-            "prop_sketch",
-        ],
-        &[],
-    ),
-    step(
-        "serving quickbench (e18 gate + admission counters)",
-        &[
-            "run",
-            "--release",
-            "-p",
-            "peertrust-bench",
-            "--bin",
-            "quickbench",
-            "--",
-            "--quick",
-            "--out",
-            "target/BENCH_PR10.json",
-            "--baseline-pr10",
-            "BENCH_BASELINE_PR10.json",
-        ],
-        &[],
-    ),
-];
-
-/// Run the quickbench harness: e8 deep-chain + e13 tabling scenarios in
-/// both lanes, `target/BENCH_PR8.json` artifact, and hard failures on
-/// the same-run compiled parity gate, the PR5 interpreted regression
-/// gate, the PR8 per-scenario regression gate, and the exact
+/// Run the quickbench harness: the `target/BENCH.json` artifact and hard
+/// failures on the `BENCH_BASELINE.json` regression gates and the exact
 /// work-counter check.
 fn bench(quick: bool) {
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
@@ -459,15 +185,9 @@ fn bench(quick: bool) {
         "quickbench",
         "--",
         "--out",
-        "target/BENCH_PR8.json",
+        "target/BENCH.json",
         "--baseline",
-        "BENCH_BASELINE_PR5.json",
-        "--baseline-pr8",
-        "BENCH_BASELINE_PR8.json",
-        "--baseline-pr9",
-        "BENCH_BASELINE_PR9.json",
-        "--baseline-pr10",
-        "BENCH_BASELINE_PR10.json",
+        "BENCH_BASELINE.json",
     ];
     if quick {
         cargo_args.push("--quick");
@@ -484,28 +204,12 @@ fn bench(quick: bool) {
         eprintln!("xtask bench: quickbench failed (regression or error)");
         std::process::exit(status.code().unwrap_or(1));
     }
-    println!("xtask bench: wrote target/BENCH_PR8.json");
+    println!("xtask bench: wrote target/BENCH.json");
 }
 
-fn verify(threads: bool, faults: bool, compiled: bool, gem: bool, serve: bool) {
+fn verify() {
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
-    let mut steps: Vec<&Step> = STEPS.iter().collect();
-    if threads {
-        steps.extend(THREAD_STEPS.iter());
-    }
-    if faults {
-        steps.extend(FAULT_STEPS.iter());
-    }
-    if compiled {
-        steps.extend(COMPILED_STEPS.iter());
-    }
-    if gem {
-        steps.extend(GEM_STEPS.iter());
-    }
-    if serve {
-        steps.extend(SERVE_STEPS.iter());
-    }
-    for s in steps {
+    for s in STEPS {
         println!("== xtask verify: {} ==", s.name);
         let mut cmd = Command::new(&cargo);
         cmd.args(s.cargo_args);
