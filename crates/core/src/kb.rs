@@ -68,7 +68,7 @@ struct KbSegment {
 /// first head argument is that constant or a variable.
 ///
 /// See the module docs for the base/overlay copy-on-write split.
-#[derive(Default, Debug)]
+#[derive(Clone, Default, Debug)]
 pub struct KnowledgeBase {
     /// Immutable shared segment produced by [`KnowledgeBase::freeze`].
     base: Option<Arc<KbSegment>>,
@@ -76,35 +76,9 @@ pub struct KnowledgeBase {
     overlay: KbSegment,
 }
 
-/// Process-wide count of KB clones that had to deep-copy an unshared rule
-/// store (no frozen base, non-empty overlay). Frozen KBs clone by `Arc`
-/// bump and are *not* counted. Single-workload drivers (quickbench) gate
-/// on deltas of this; concurrent test binaries should prefer the
-/// structural [`KnowledgeBase::shares_base_with`] check instead.
-static DEEP_CLONES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-impl Clone for KnowledgeBase {
-    fn clone(&self) -> KnowledgeBase {
-        if self.base.is_none() && !self.overlay.rules.is_empty() {
-            DEEP_CLONES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
-        KnowledgeBase {
-            base: self.base.clone(),
-            overlay: self.overlay.clone(),
-        }
-    }
-}
-
 impl KnowledgeBase {
     pub fn new() -> KnowledgeBase {
         KnowledgeBase::default()
-    }
-
-    /// Process-wide number of whole-KB deep clones so far (clones of KBs
-    /// with no frozen base). After a workload freezes its peer maps, the
-    /// delta across its hot path should be zero.
-    pub fn deep_clone_count() -> u64 {
-        DEEP_CLONES.load(std::sync::atomic::Ordering::Relaxed)
     }
 
     /// Rules in the frozen base segment (0 if never frozen).
@@ -175,18 +149,19 @@ impl KnowledgeBase {
         self.base = Some(Arc::new(merged));
     }
 
-    /// Add a locally defined rule.
-    pub fn add_local(&mut self, rule: Rule) -> RuleId {
-        self.add(rule, RuleOrigin::Local)
+    /// Add a locally defined rule. An `Arc<Rule>` is stored as is, so
+    /// several KBs can index one rule without copying it.
+    pub fn add_local(&mut self, rule: impl Into<Arc<Rule>>) -> RuleId {
+        self.add(rule.into(), RuleOrigin::Local)
     }
 
     /// Add a rule received from `from` (signature verification is the
     /// caller's job — see `peertrust-crypto`).
-    pub fn add_received(&mut self, rule: Rule, from: PeerId) -> RuleId {
-        self.add(rule, RuleOrigin::Received(from))
+    pub fn add_received(&mut self, rule: impl Into<Arc<Rule>>, from: PeerId) -> RuleId {
+        self.add(rule.into(), RuleOrigin::Received(from))
     }
 
-    fn add(&mut self, rule: Rule, origin: RuleOrigin) -> RuleId {
+    fn add(&mut self, rule: Arc<Rule>, origin: RuleOrigin) -> RuleId {
         let idx = self.len(); // global clause id
         let id = RuleId(u32::try_from(idx).expect("kb overflow"));
         let key = rule.head.functor();
@@ -199,11 +174,7 @@ impl KnowledgeBase {
                 .push(idx),
             None => self.overlay.var_headed.entry(key).or_default().push(idx),
         }
-        self.overlay.rules.push(StoredRule {
-            id,
-            rule: Arc::new(rule),
-            origin,
-        });
+        self.overlay.rules.push(StoredRule { id, rule, origin });
         let known_in_base = self
             .base
             .as_ref()
@@ -643,32 +614,14 @@ mod tests {
         let unshared = kb.clone();
         assert!(!unshared.shares_base_with(&kb), "no base before freeze");
         kb.freeze();
-        let before = KnowledgeBase::deep_clone_count();
         let shared = kb.clone();
         assert!(shared.shares_base_with(&kb));
-        assert_eq!(
-            KnowledgeBase::deep_clone_count(),
-            before,
-            "frozen clone is not a deep clone"
-        );
         // Appends to the clone's overlay do not disturb the original.
         let mut grown = kb.clone();
         grown.add_local(fact("s", "x"));
         assert_eq!(grown.len(), 4);
         assert_eq!(kb.len(), 3);
         assert!(grown.shares_base_with(&kb));
-    }
-
-    #[test]
-    fn deep_clone_counter_counts_unshared_clones() {
-        let mut kb = KnowledgeBase::new();
-        kb.add_local(fact("p", "x"));
-        let before = KnowledgeBase::deep_clone_count();
-        let _c = kb.clone();
-        assert!(
-            KnowledgeBase::deep_clone_count() > before,
-            "unfrozen non-empty clone must count"
-        );
     }
 }
 

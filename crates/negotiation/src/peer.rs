@@ -110,11 +110,11 @@ pub fn sender_extended(rule: &Rule, from: PeerId) -> Option<Rule> {
 ///
 /// `Clone` snapshots the peer. After [`NegotiationPeer::freeze`] the
 /// snapshot is copy-on-write: the KB's frozen base segment, the frozen
-/// signed-rule map and the registry are all `Arc`-shared,
-/// so cloning costs O(overlay) — a handful of pointer bumps for a peer
-/// that has not changed since the freeze. The batch scheduler and the
-/// open-loop serving driver freeze the peer map once at setup and then
-/// clone it per job/session; each negotiation mutates only its own
+/// signed-rule map, the certified view's base and the registry are all
+/// `Arc`-shared, so cloning costs O(overlay) — a handful of pointer bumps
+/// for a peer that has not changed since the freeze. The batch scheduler
+/// and the open-loop serving driver freeze the peer map once at setup and
+/// then clone it per job/session; each negotiation mutates only its own
 /// overlay (disclosed credentials, session state).
 #[derive(Clone)]
 pub struct NegotiationPeer {
@@ -133,6 +133,12 @@ pub struct NegotiationPeer {
     /// mid-session land here). Rule ids are fresh KB ids, so the two maps
     /// are disjoint by construction.
     signed_overlay: HashMap<RuleId, SignedRule>,
+    /// The certified view: every KB rule that has an entry in either
+    /// signed map, in KB order, as `Received(self)`. It indexes the same
+    /// `Arc<Rule>`s as `kb`, grows at the point a rule id enters a signed
+    /// map, and freezes with the KB, so verifying an answer never has to
+    /// rebuild it.
+    certified: KnowledgeBase,
 }
 
 impl NegotiationPeer {
@@ -144,6 +150,7 @@ impl NegotiationPeer {
             registry,
             signed_base: Arc::new(HashMap::new()),
             signed_overlay: HashMap::new(),
+            certified: KnowledgeBase::new(),
         }
     }
 
@@ -153,12 +160,14 @@ impl NegotiationPeer {
     }
 
     /// Freeze this peer's mutable state into `Arc`-shared form: the KB's
-    /// overlay folds into its frozen base ([`KnowledgeBase::freeze`]) and
-    /// the signed-rule overlay folds into the shared signed map. After
-    /// freezing, `clone` is O(1) and concurrent sessions share one copy
-    /// of the rule store. Idempotent; call again after bulk setup growth.
+    /// and the certified view's overlays fold into their frozen bases
+    /// ([`KnowledgeBase::freeze`]) and the signed-rule overlay folds into
+    /// the shared signed map. After freezing, `clone` is O(1) and
+    /// concurrent sessions share one copy of the rule store. Idempotent;
+    /// call again after bulk setup growth.
     pub fn freeze(&mut self) {
         self.kb.freeze();
+        self.certified.freeze();
         if !self.signed_overlay.is_empty() {
             let mut base = Arc::try_unwrap(std::mem::take(&mut self.signed_base))
                 .unwrap_or_else(|arc| (*arc).clone());
@@ -168,11 +177,19 @@ impl NegotiationPeer {
     }
 
     /// Is all of this peer's rule/signature state already in the shared
-    /// frozen base (both overlays empty)? Cloning a frozen peer is O(1),
+    /// frozen bases (every overlay empty)? Cloning a frozen peer is O(1),
     /// so batch drivers skip their setup copy when handed a pre-frozen
     /// map.
     pub fn is_frozen(&self) -> bool {
-        self.kb.frozen_len() == self.kb.len() && self.signed_overlay.is_empty()
+        self.kb.frozen_len() == self.kb.len()
+            && self.certified.frozen_len() == self.certified.len()
+            && self.signed_overlay.is_empty()
+    }
+
+    /// Do `self` and `other` share their frozen KB base and certified
+    /// view base (one allocation each, not copies)?
+    pub fn shares_frozen_bases_with(&self, other: &NegotiationPeer) -> bool {
+        self.kb.shares_base_with(&other.kb) && self.certified.shares_base_with(&other.certified)
     }
 
     /// Add one local (unsigned) rule.
@@ -205,18 +222,28 @@ impl NegotiationPeer {
     /// the holder this credential".
     pub fn mint(&mut self, rule: Rule) -> Result<RuleId, PeerError> {
         let signed = sign_rule(&self.registry, &rule)?;
-        let id = self.kb.add_local(rule.clone());
-        self.signed_overlay.insert(id, signed.clone());
         // §3.2 axiom: a signed fact also derives its `@ issuer` form. The
         // extension maps back to the same signature bundle, so pushing or
         // verifying either form ships the real credential.
-        if let Some(ext) = issuer_extended(&rule) {
+        let ext = issuer_extended(&rule);
+        let id = self.kb.add_local(rule);
+        self.certify(id, signed.clone());
+        if let Some(ext) = ext {
             if !self.kb.contains(&ext) {
                 let eid = self.kb.add_local(ext);
-                self.signed_overlay.insert(eid, signed);
+                self.certify(eid, signed);
             }
         }
         Ok(id)
+    }
+
+    /// Record `signed` as the signature bundle backing KB rule `id` and
+    /// append that rule to the certified view. Callers certify ids in the
+    /// order they entered the KB, so the view keeps KB order.
+    fn certify(&mut self, id: RuleId, signed: SignedRule) {
+        let rule = Arc::clone(&self.kb.get(id).expect("rule just added").rule);
+        self.certified.add_received(rule, self.id);
+        self.signed_overlay.insert(id, signed);
     }
 
     /// Verify and accept a signed rule pushed by `from`. Duplicates are
@@ -266,13 +293,16 @@ impl NegotiationPeer {
         if let Some(extended) = sender_extended(&signed.rule, from) {
             self.kb.add_received_dedup(extended, from);
         }
-        if let Some(ext) = issuer_extended(&signed.rule) {
-            if !self.kb.contains(&ext) {
+        // Certify `id` before its extension so the view keeps KB order;
+        // the bundle is cloned only when both need it.
+        match issuer_extended(&signed.rule).filter(|ext| !self.kb.contains(ext)) {
+            Some(ext) => {
+                self.certify(id, signed.clone());
                 let eid = self.kb.add_received(ext, from);
-                self.signed_overlay.insert(eid, signed.clone());
+                self.certify(eid, signed);
             }
+            None => self.certify(id, signed),
         }
-        self.signed_overlay.insert(id, signed);
         Ok(true)
     }
 
@@ -313,24 +343,19 @@ impl NegotiationPeer {
         }
     }
 
-    /// A knowledge base containing only signature-backed rules (local
-    /// minted + received, including their issuer-extended `lit @ A` forms)
-    /// — the material admissible in a *certified* proof.
-    pub fn signed_only_kb(&self) -> KnowledgeBase {
-        let mut kb = KnowledgeBase::new();
-        for sr in self.kb.iter() {
-            if self.signed_overlay.contains_key(&sr.id) || self.signed_base.contains_key(&sr.id) {
-                kb.add_received(sr.rule.as_ref().clone(), self.id);
-            }
-        }
-        kb
+    /// The knowledge base of signature-backed rules only (local minted +
+    /// received, including their issuer-extended `lit @ A` forms) — the
+    /// material admissible in a *certified* proof. A standing view kept
+    /// up to date on every mint and receipt, not rebuilt per call.
+    pub fn signed_only_kb(&self) -> &KnowledgeBase {
+        &self.certified
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use peertrust_core::Term;
+    use peertrust_core::{RuleOrigin, Term};
 
     fn registry() -> KeyRegistry {
         let r = KeyRegistry::new();
@@ -421,7 +446,7 @@ mod tests {
         alice.freeze();
         alice.freeze(); // idempotent
         let clone = alice.clone();
-        assert!(clone.kb.shares_base_with(&alice.kb));
+        assert!(clone.shares_frozen_bases_with(&alice));
         assert!(clone.signed_rule(id).is_some());
         assert_eq!(clone.disclosable_signed_rules().count(), disclosable);
         assert_eq!(clone.signed_only_kb().len(), alice.signed_only_kb().len());
@@ -456,5 +481,169 @@ mod tests {
             .unwrap();
         let signed_kb = alice.signed_only_kb();
         assert_eq!(signed_kb.len(), 1);
+    }
+
+    /// The certified view computed from scratch: a fresh KB holding every
+    /// signature-backed rule of the peer's KB, in KB order, as
+    /// `Received(self)`. The oracle the maintained view must match.
+    fn rescanned_view(p: &NegotiationPeer) -> KnowledgeBase {
+        let mut kb = KnowledgeBase::new();
+        for sr in p.kb.iter() {
+            if p.signed_rule(sr.id).is_some() {
+                kb.add_received(sr.rule.as_ref().clone(), p.id);
+            }
+        }
+        kb
+    }
+
+    fn entries(kb: &KnowledgeBase) -> Vec<(RuleId, Rule, RuleOrigin)> {
+        kb.iter()
+            .map(|sr| (sr.id, (*sr.rule).clone(), sr.origin))
+            .collect()
+    }
+
+    fn assert_view_matches_rescan(p: &NegotiationPeer, step: &str) {
+        let (view, scan) = (p.signed_only_kb(), rescanned_view(p));
+        assert_eq!(entries(view), entries(&scan), "after {step}");
+        assert_eq!(view.predicates(), scan.predicates(), "after {step}");
+        for sr in scan.iter() {
+            let ids = |kb: &KnowledgeBase| kb.candidates(&sr.rule.head).map(|c| c.id).collect();
+            let (got, want): (Vec<_>, Vec<_>) = (ids(view), ids(&scan));
+            assert_eq!(got, want, "candidates for {} after {step}", sr.rule.head);
+        }
+        let signed = p.kb.iter().filter(|sr| p.signed_rule(sr.id).is_some());
+        assert!(
+            signed
+                .zip(view.iter())
+                .all(|(k, v)| Arc::ptr_eq(&k.rule, &v.rule)),
+            "the view shares the KB's rules after {step}"
+        );
+    }
+
+    /// One of the signed-rule shapes minting and receipt treat differently:
+    /// a credential with and without an issuer extension, one with a
+    /// release context (kept only by sticky receipt), and a delegation.
+    fn signed_shape(shape: u32, k: u32, ca: &str) -> Rule {
+        let src = match shape {
+            0 => format!(r#"c{k}("V") signedBy ["{ca}"]."#),
+            1 => format!(r#"c{k}("V") @ "{ca}" signedBy ["{ca}"]."#),
+            2 => format!(r#"c{k}("V") $ true signedBy ["{ca}"]."#),
+            _ => format!(r#"d{k}(X) @ "{ca}" <- signedBy ["{ca}"] c{k}(X) @ "{ca}"."#),
+        };
+        parse_program(&src).unwrap().remove(0)
+    }
+
+    #[test]
+    fn certified_view_matches_a_rescan_under_seeded_interleavings() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let reg = KeyRegistry::new();
+        let issuers = ["CA0", "CA1"];
+        for (i, ca) in issuers.iter().enumerate() {
+            reg.register_derived(PeerId::new(ca), i as u64 + 10);
+        }
+        for seed in 0..8 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut p = NegotiationPeer::new("V", reg.clone());
+            let mut holder = NegotiationPeer::new("H", reg.clone());
+            // Pushed bundles with the sticky flag of their first receipt.
+            let mut pushed: Vec<(SignedRule, bool)> = Vec::new();
+            // Clones taken along the way, with the view they must keep.
+            let mut snapshots = Vec::new();
+            // Has `p` been frozen, and not grown since?
+            let mut frozen = false;
+            for _ in 0..150 {
+                // Few distinct contents, so mints and receipts collide.
+                let k = rng.gen_range(0..4);
+                let ca = issuers[rng.gen_range(0..issuers.len())];
+                let shape = rng.gen_range(0..4);
+                let pick = rng.gen_range(0..pushed.len().max(1));
+                let step = match rng.gen_range(0..9) {
+                    0 | 1 => {
+                        p.mint(signed_shape(shape, k, ca)).unwrap();
+                        frozen = false;
+                        "mint"
+                    }
+                    2 => {
+                        p.add_rule(Rule::fact(Literal::new("plain", vec![Term::int(k.into())])));
+                        frozen = false;
+                        "add_rule"
+                    }
+                    3 | 4 => {
+                        let id = holder.mint(signed_shape(shape, k, ca)).unwrap();
+                        let signed = holder.signed_rule(id).unwrap().clone();
+                        // From the issuer itself, the sender extension equals
+                        // the issuer extension.
+                        let from = if rng.gen_bool(0.5) {
+                            PeerId::new(ca)
+                        } else {
+                            holder.id
+                        };
+                        let sticky = rng.gen_bool(0.5);
+                        frozen &= !p.receive_signed_mode(signed.clone(), from, sticky).unwrap();
+                        pushed.push((signed, sticky));
+                        "receive"
+                    }
+                    5 if !pushed.is_empty() => {
+                        let (signed, sticky) = pushed[pick].clone();
+                        let fresh = p.receive_signed_mode(signed, holder.id, sticky).unwrap();
+                        assert!(!fresh, "a re-push is a duplicate");
+                        "duplicate"
+                    }
+                    6 if !pushed.is_empty() => {
+                        // A context stripped on first receipt is kept now, or
+                        // the other way round: new only for `$ ctx` rules.
+                        let (signed, sticky) = pushed[pick].clone();
+                        frozen &= !p.receive_signed_mode(signed, holder.id, !sticky).unwrap();
+                        "sticky flip"
+                    }
+                    7 if !pushed.is_empty() => {
+                        let mut bad = pushed[pick].0.clone();
+                        bad.rule.head.args[0] = Term::str("Mallory");
+                        assert!(p.receive_signed_mode(bad, holder.id, false).is_err());
+                        "tampered"
+                    }
+                    8 => {
+                        p.freeze();
+                        assert!(p.is_frozen());
+                        frozen = true;
+                        "freeze"
+                    }
+                    _ => {
+                        let clone = p.clone();
+                        if frozen {
+                            assert!(clone.shares_frozen_bases_with(&p));
+                            assert!(clone.signed_only_kb().shares_base_with(p.signed_only_kb()));
+                        }
+                        snapshots.push((entries(p.signed_only_kb()), p));
+                        p = clone;
+                        "clone"
+                    }
+                };
+                assert_view_matches_rescan(&p, step);
+            }
+            for (view, snapshot) in &snapshots {
+                assert_eq!(
+                    entries(snapshot.signed_only_kb()),
+                    *view,
+                    "clones stay isolated"
+                );
+                assert_view_matches_rescan(snapshot, "later steps on a clone");
+            }
+        }
+    }
+
+    #[test]
+    fn is_frozen_checks_the_certified_view() {
+        let mut alice = NegotiationPeer::new("Alice", registry());
+        alice
+            .load_program(r#"student("Alice") @ "UIUC" signedBy ["UIUC"]."#)
+            .unwrap();
+        // Fold everything except the view.
+        alice.kb.freeze();
+        let overlay: Vec<_> = alice.signed_overlay.drain().collect();
+        Arc::make_mut(&mut alice.signed_base).extend(overlay);
+        assert!(!alice.is_frozen(), "the view still has an overlay");
+        alice.freeze();
+        assert!(alice.is_frozen());
     }
 }

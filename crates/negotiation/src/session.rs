@@ -88,16 +88,16 @@ impl PeerMap {
         self.map.values().all(NegotiationPeer::is_frozen)
     }
 
-    /// Do every one of `self`'s peers share their frozen KB base with the
-    /// corresponding peer in `other`? A deterministic structural check
-    /// that a clone of a frozen map was copy-on-write (no deep KB copy);
-    /// the serving driver counts violations into
-    /// `negotiation.serve.base_clones`.
+    /// Do every one of `self`'s peers share their frozen KB and
+    /// certified-view bases with the corresponding peer in `other`? A
+    /// deterministic structural check that a clone of a frozen map was
+    /// copy-on-write (no deep KB copy); the serving driver counts
+    /// violations into `negotiation.serve.base_clones`.
     pub fn shares_frozen_bases_with(&self, other: &PeerMap) -> bool {
         self.map.iter().all(|(id, peer)| {
             other
                 .get(*id)
-                .is_some_and(|o| peer.kb.shares_base_with(&o.kb))
+                .is_some_and(|o| peer.shares_frozen_bases_with(o))
         })
     }
 }
@@ -1279,7 +1279,7 @@ impl<'a> Session<'a> {
             let engine = requester_peer.config.engine;
             let mut dropped = Vec::new();
             accepted_answers.retain(|a| {
-                let mut solver = Solver::new(&signed_kb, from).with_config(engine);
+                let mut solver = Solver::new(signed_kb, from).with_config(engine);
                 let ok = solver.provable(std::slice::from_ref(a));
                 if !ok {
                     dropped.push(a.clone());
@@ -2170,6 +2170,100 @@ mod tests {
 
         let out = run(&mut peers, "Alice", "E-Learn", r#"resource("Alice")"#);
         assert!(!out.success, "unsigned claim must not grant access");
+        assert_eq!(
+            unverified(&out, "E-Learn"),
+            [r#"student("Alice") @ "UIUC""#]
+        );
+    }
+
+    /// The answers `peer` dropped because no signed rule re-derives them.
+    fn unverified(out: &NegotiationOutcome, peer: &str) -> Vec<String> {
+        out.refusals
+            .iter()
+            .filter(|r| r.reason == RefusalReason::VerificationFailed)
+            .filter(|r| r.peer == PeerId::new(peer))
+            .map(|r| r.goal.to_string())
+            .collect()
+    }
+
+    #[test]
+    fn verifier_unsigned_copy_does_not_certify_an_answer() {
+        // E-Learn holds the claimed fact itself, but unsigned: it is not
+        // certified material, so Alice's unbacked answer still fails.
+        let reg = registry();
+        let mut peers = PeerMap::new();
+        let mut elearn = NegotiationPeer::new("E-Learn", reg.clone());
+        elearn
+            .load_program(
+                r#"
+                resource(X) $ true <- student(X) @ "UIUC" @ X.
+                student("Alice") @ "UIUC".
+                "#,
+            )
+            .unwrap();
+        peers.insert(elearn);
+        let mut alice = NegotiationPeer::new("Alice", reg);
+        alice
+            .load_program(r#"student("Alice") @ "UIUC" $ true <-_true claimed. claimed."#)
+            .unwrap();
+        peers.insert(alice);
+
+        let out = run(&mut peers, "Alice", "E-Learn", r#"resource("Alice")"#);
+        assert!(!out.success, "an unsigned copy must not certify the claim");
+        assert_eq!(
+            unverified(&out, "E-Learn"),
+            [r#"student("Alice") @ "UIUC""#]
+        );
+    }
+
+    #[test]
+    fn credential_pushed_into_a_frozen_clone_verifies() {
+        // E-Learn's frozen certified view already holds UIUC's delegation
+        // rule. The registrar credential Alice pushes mid-negotiation lands
+        // in the clone's overlay, and the answer verifies against both.
+        let reg = registry();
+        let mut pristine = PeerMap::new();
+        let mut elearn = NegotiationPeer::new("E-Learn", reg.clone());
+        elearn
+            .load_program(
+                r#"
+                resource(X) $ true <- student(X) @ "UIUC" @ X.
+                student(X) @ "UIUC" <- signedBy ["UIUC"] student(X) @ "UIUC Registrar".
+                "#,
+            )
+            .unwrap();
+        pristine.insert(elearn);
+        let mut alice = NegotiationPeer::new("Alice", reg);
+        alice
+            .load_program(
+                r#"
+                student("Alice") @ "UIUC Registrar" signedBy ["UIUC Registrar"].
+                student(X) @ "UIUC" <- signedBy ["UIUC"] student(X) @ "UIUC Registrar".
+                student(X) @ Y $ true <-_true student(X) @ Y.
+                "#,
+            )
+            .unwrap();
+        pristine.insert(alice);
+        pristine.freeze();
+        let elearn = PeerId::new("E-Learn");
+        let base_view = pristine.get(elearn).unwrap().signed_only_kb().len();
+
+        let mut peers = pristine.clone();
+        let out = run(&mut peers, "Alice", "E-Learn", r#"resource("Alice")"#);
+        assert!(out.success, "refusals: {:?}", out.refusals);
+        assert!(unverified(&out, "E-Learn").is_empty());
+        verify_safe_sequence(&out).unwrap();
+        let view = peers.get(elearn).unwrap().signed_only_kb();
+        assert!(
+            view.len() > base_view,
+            "the pushed credential joined the view"
+        );
+        assert!(peers.shares_frozen_bases_with(&pristine));
+        assert_eq!(
+            pristine.get(elearn).unwrap().signed_only_kb().len(),
+            base_view,
+            "the frozen map is untouched"
+        );
     }
 
     #[test]

@@ -199,59 +199,52 @@ impl Message {
     /// content is encoded as its canonical text.
     pub fn encode(&self) -> Bytes {
         let mut buf = String::new();
-        buf.push_str(self.from.name());
-        buf.push('>');
-        buf.push_str(self.to.name());
-        buf.push('|');
+        self.write_wire(&mut buf)
+            .expect("writing to a String cannot fail");
+        Bytes::from(buf)
+    }
+
+    /// Encoded size in bytes: the length of [`Message::encode`], counted
+    /// without building the frame (the simulated network calls this for
+    /// every message it sends).
+    pub fn encoded_size(&self) -> usize {
+        let mut count = ByteCount(0);
+        self.write_wire(&mut count)
+            .expect("counting bytes cannot fail");
+        count.0
+    }
+
+    /// Write the wire encoding into any `fmt::Write` sink.
+    fn write_wire(&self, w: &mut impl fmt::Write) -> fmt::Result {
+        write!(w, "{}>{}|", self.from.name(), self.to.name())?;
         match &self.payload {
-            Payload::Query { goal, .. } => {
-                buf.push_str("Q|");
-                buf.push_str(&goal.to_string());
-            }
+            Payload::Query { goal, .. } => write!(w, "Q|{goal}"),
             Payload::Answers { goal, answers, .. } => {
-                buf.push_str("A|");
-                buf.push_str(&goal.to_string());
-                for a in answers {
-                    buf.push(';');
-                    buf.push_str(&a.to_string());
-                }
+                write!(w, "A|{goal}")?;
+                answers.iter().try_for_each(|a| write!(w, ";{a}"))
             }
             Payload::CredentialPush { rules } => {
-                buf.push_str("C|");
+                w.write_str("C|")?;
                 for r in rules {
-                    buf.push_str(&r.rule.to_string());
+                    write!(w, "{}", r.rule)?;
                     // Account for the signature bytes.
                     for _ in &r.signatures {
-                        buf.push_str(&"\0".repeat(32));
+                        w.write_str(SIGNATURE_PLACEHOLDER)?;
                     }
                 }
+                Ok(())
             }
-            Payload::Failure { goal, reason, .. } => {
-                buf.push_str("F|");
-                buf.push_str(&goal.to_string());
-                buf.push(';');
-                buf.push_str(reason);
-            }
-            Payload::PolicyRequest { policy, .. } => {
-                buf.push_str("PR|");
-                buf.push_str(policy.as_str());
-            }
+            Payload::Failure { goal, reason, .. } => write!(w, "F|{goal};{reason}"),
+            Payload::PolicyRequest { policy, .. } => write!(w, "PR|{}", policy.as_str()),
             Payload::PolicyDisclosure { rules, .. } => {
-                buf.push_str("PD|");
-                for r in rules {
-                    buf.push_str(&r.to_string());
-                    buf.push(';');
-                }
+                w.write_str("PD|")?;
+                rules.iter().try_for_each(|r| write!(w, "{r};"))
             }
             Payload::GemQuery { goal, context, .. } => {
-                buf.push_str("GQ|");
-                buf.push_str(&goal.to_string());
-                for (peer, frame) in context {
-                    buf.push(';');
-                    buf.push_str(peer.name());
-                    buf.push(':');
-                    buf.push_str(&frame.to_string());
-                }
+                write!(w, "GQ|{goal}")?;
+                context
+                    .iter()
+                    .try_for_each(|(peer, frame)| write!(w, ";{}:{frame}", peer.name()))
             }
             Payload::GemAnswers {
                 goal,
@@ -259,28 +252,25 @@ impl Message {
                 answers,
                 ..
             } => {
-                buf.push_str("GA|");
-                buf.push_str(&round.to_string());
-                buf.push('|');
-                buf.push_str(&goal.to_string());
-                for a in answers {
-                    buf.push(';');
-                    buf.push_str(&a.to_string());
-                }
+                write!(w, "GA|{round}|{goal}")?;
+                answers.iter().try_for_each(|a| write!(w, ";{a}"))
             }
-            Payload::GemComplete { goal, rounds } => {
-                buf.push_str("GC|");
-                buf.push_str(&rounds.to_string());
-                buf.push('|');
-                buf.push_str(&goal.to_string());
-            }
+            Payload::GemComplete { goal, rounds } => write!(w, "GC|{rounds}|{goal}"),
         }
-        Bytes::from(buf)
     }
+}
 
-    /// Encoded size in bytes.
-    pub fn encoded_size(&self) -> usize {
-        self.encode().len()
+/// The 32 bytes a signature occupies on the wire.
+const SIGNATURE_PLACEHOLDER: &str =
+    "\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0";
+
+/// A `fmt::Write` sink that only counts the bytes written to it.
+struct ByteCount(usize);
+
+impl fmt::Write for ByteCount {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 += s.len();
+        Ok(())
     }
 }
 
@@ -389,6 +379,95 @@ mod tests {
         })
         .encoded_size();
         assert_eq!(signed_len, unsigned_len + 32);
+    }
+
+    /// One message of every payload variant, signatures included.
+    fn every_payload() -> Vec<Payload> {
+        let goal = Literal::new("student", vec![Term::var("X")]).at(Term::str("UIUC"));
+        let alice = Literal::new("student", vec![Term::str("Alice")]);
+        let cred =
+            peertrust_core::Rule::fact(alice.clone().at(Term::str("UIUC"))).signed_by("UIUC");
+        vec![
+            Payload::Query {
+                id: QueryId(1),
+                goal: goal.clone(),
+            },
+            Payload::Answers {
+                id: QueryId(1),
+                goal: goal.clone(),
+                answers: vec![
+                    alice.clone(),
+                    Literal::new("student", vec![Term::str("Bob")]),
+                ],
+            },
+            Payload::CredentialPush {
+                rules: vec![
+                    SignedRule {
+                        rule: cred.clone(),
+                        signatures: vec![[7u8; 32], [9u8; 32]],
+                    },
+                    SignedRule {
+                        rule: cred.clone(),
+                        signatures: vec![],
+                    },
+                ],
+            },
+            Payload::Failure {
+                id: QueryId(2),
+                goal: goal.clone(),
+                reason: "not released".into(),
+            },
+            Payload::PolicyRequest {
+                id: QueryId(3),
+                policy: Sym::new("policy7"),
+            },
+            Payload::PolicyDisclosure {
+                id: QueryId(3),
+                rules: vec![cred, peertrust_core::Rule::fact(alice.clone())],
+            },
+            Payload::GemQuery {
+                id: QueryId(4),
+                goal: goal.clone(),
+                context: vec![(PeerId::new("UIUC"), goal.clone())],
+            },
+            Payload::GemAnswers {
+                id: QueryId(4),
+                goal: goal.clone(),
+                round: 12,
+                answers: vec![alice],
+            },
+            Payload::GemComplete { goal, rounds: 3 },
+        ]
+    }
+
+    #[test]
+    fn encoded_size_matches_encode_for_every_payload() {
+        let payloads = every_payload();
+        let kinds: std::collections::BTreeSet<_> = payloads.iter().map(Payload::kind).collect();
+        assert_eq!(kinds.len(), 9, "one message per payload variant");
+        for p in payloads {
+            let m = msg(p);
+            assert_eq!(m.encoded_size(), m.encode().len(), "{}", m.payload.kind());
+        }
+    }
+
+    #[test]
+    fn encoding_is_pinned() {
+        let [query, answers, push, ..] = &every_payload()[..] else {
+            unreachable!()
+        };
+        assert_eq!(
+            &msg(query.clone()).encode()[..],
+            br#"Alice>E-Learn|Q|student(X) @ "UIUC""#
+        );
+        assert_eq!(
+            &msg(answers.clone()).encode()[..],
+            br#"Alice>E-Learn|A|student(X) @ "UIUC";student("Alice");student("Bob")"#
+        );
+        let push = msg(push.clone()).encode();
+        let rule = r#"student("Alice") @ "UIUC" signedBy ["UIUC"]."#;
+        let expected = format!("Alice>E-Learn|C|{rule}{}{rule}", "\0".repeat(64));
+        assert_eq!(&push[..], expected.as_bytes());
     }
 
     #[test]
