@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use peertrust_core::PeerId;
-use peertrust_negotiation::{negotiate, SessionConfig};
+use peertrust_negotiation::Strategy;
 use peertrust_net::{NegotiationId, SimNetwork};
 use peertrust_scenarios::fleet;
 
@@ -21,10 +21,9 @@ fn bench_fleet(c: &mut Criterion) {
                     let mut net = SimNetwork::new(1);
                     let mut ok = 0;
                     for (i, (client, goal)) in goals.iter().enumerate() {
-                        let out = negotiate(
+                        let out = Strategy::Parsimonious.run(
                             &mut peers,
                             &mut net,
-                            SessionConfig::default(),
                             NegotiationId(i as u64),
                             *client,
                             PeerId::new("Server"),

@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criteri
 use peertrust_core::{KnowledgeBase, Literal, PeerId, Rule, Term};
 use peertrust_crypto::KeyRegistry;
 use peertrust_engine::{EngineConfig, Solver};
-use peertrust_negotiation::{negotiate, NegotiationPeer, PeerMap, SessionConfig};
+use peertrust_negotiation::{NegotiationPeer, PeerMap, Strategy};
 use peertrust_net::{NegotiationId, SimNetwork};
 
 /// Two peers whose release policies form one big cycle of length `k` —
@@ -51,10 +51,9 @@ fn bench_cycle_rejection(c: &mut Criterion) {
                 || deadlock_cycle(k),
                 |(mut peers, goal)| {
                     let mut net = SimNetwork::new(1);
-                    let out = negotiate(
+                    let out = Strategy::Parsimonious.run(
                         &mut peers,
                         &mut net,
-                        SessionConfig::default(),
                         NegotiationId(1),
                         PeerId::new("B"),
                         PeerId::new("A"),

@@ -5,9 +5,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use peertrust_core::{PeerId, Sym};
 use peertrust_crypto::{KeyRegistry, RevocationList};
-use peertrust_negotiation::{
-    issue_ticket, negotiate, redeem_ticket, NegotiationPeer, PeerMap, SessionConfig,
-};
+use peertrust_negotiation::{issue_ticket, redeem_ticket, NegotiationPeer, PeerMap, Strategy};
 use peertrust_net::{encode_frame, NegotiationId, SimNetwork, SuperPeerNetwork};
 use peertrust_parser::parse_literal;
 use peertrust_rdf::{import_metadata, parse_ntriples, TripleStore};
@@ -133,10 +131,9 @@ fn bench_tickets(c: &mut Criterion) {
             build,
             |mut peers| {
                 let mut net = SimNetwork::new(1);
-                let out = negotiate(
+                let out = Strategy::Parsimonious.run(
                     &mut peers,
                     &mut net,
-                    SessionConfig::default(),
                     NegotiationId(1),
                     PeerId::new("Alice"),
                     PeerId::new("Server"),
@@ -154,10 +151,9 @@ fn bench_tickets(c: &mut Criterion) {
             || {
                 let mut peers = build();
                 let mut net = SimNetwork::new(1);
-                let out = negotiate(
+                let out = Strategy::Parsimonious.run(
                     &mut peers,
                     &mut net,
-                    SessionConfig::default(),
                     NegotiationId(1),
                     PeerId::new("Alice"),
                     PeerId::new("Server"),

@@ -6,10 +6,9 @@
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use peertrust_core::{KnowledgeBase, Literal, PeerId, Rule, Term};
 use peertrust_engine::{AnswerTable, EngineConfig, SharedTable, Solver};
-use peertrust_negotiation::{negotiate, negotiate_cached, RemoteAnswerCache, SessionConfig};
+use peertrust_negotiation::{negotiate, NegotiateOptions, SessionConfig, SharedRemoteAnswerCache};
 use peertrust_net::{NegotiationId, SimNetwork};
 use peertrust_scenarios::{chain, delegation_chain, Scenario1, Scenario2, Variant2, Workload};
-use peertrust_telemetry::Telemetry;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -95,20 +94,23 @@ fn bench_solver_tabling(c: &mut Criterion) {
     group.finish();
 }
 
-fn session_config(cache: bool) -> SessionConfig {
-    SessionConfig {
-        cache_remote_answers: cache,
-        ..SessionConfig::default()
+fn options(cache: bool) -> NegotiateOptions {
+    NegotiateOptions {
+        session: SessionConfig {
+            cache_remote_answers: cache,
+            ..SessionConfig::default()
+        },
+        ..NegotiateOptions::default()
     }
 }
 
-fn run_scenario1(cfg: SessionConfig) -> u64 {
+fn run_scenario1(opts: &NegotiateOptions) -> u64 {
     let mut s = Scenario1::build();
     let mut net = SimNetwork::new(0xE1);
-    let out = negotiate(
+    let (out, _) = negotiate(
         &mut s.peers,
         &mut net,
-        cfg,
+        opts,
         NegotiationId(1),
         PeerId::new("Alice"),
         PeerId::new("E-Learn"),
@@ -118,13 +120,13 @@ fn run_scenario1(cfg: SessionConfig) -> u64 {
     out.messages
 }
 
-fn run_scenario2(cfg: SessionConfig) -> u64 {
+fn run_scenario2(opts: &NegotiateOptions) -> u64 {
     let mut s = Scenario2::build(Variant2::Base);
     let mut net = SimNetwork::new(0xE2);
-    let out = negotiate(
+    let (out, _) = negotiate(
         &mut s.peers,
         &mut net,
-        cfg,
+        opts,
         NegotiationId(2),
         PeerId::new("Bob"),
         PeerId::new("E-Learn"),
@@ -134,12 +136,12 @@ fn run_scenario2(cfg: SessionConfig) -> u64 {
     out.messages
 }
 
-fn run_workload(w: &mut Workload, cfg: SessionConfig, nid: u64) -> u64 {
+fn run_workload(w: &mut Workload, opts: &NegotiateOptions, nid: u64) -> u64 {
     let mut net = SimNetwork::new(nid);
-    let out = negotiate(
+    let (out, _) = negotiate(
         &mut w.peers,
         &mut net,
-        cfg,
+        opts,
         NegotiationId(nid),
         w.requester,
         w.responder,
@@ -154,14 +156,14 @@ fn bench_negotiation_caching(c: &mut Criterion) {
     group.sample_size(20);
 
     for (scenario, runner) in [
-        ("scenario1", run_scenario1 as fn(SessionConfig) -> u64),
-        ("scenario2", run_scenario2 as fn(SessionConfig) -> u64),
+        ("scenario1", run_scenario1 as fn(&NegotiateOptions) -> u64),
+        ("scenario2", run_scenario2 as fn(&NegotiateOptions) -> u64),
     ] {
         group.bench_function(format!("{scenario}/uncached"), |b| {
-            b.iter(|| runner(session_config(false)))
+            b.iter(|| runner(&options(false)))
         });
         group.bench_function(format!("{scenario}/session_cache"), |b| {
-            b.iter(|| runner(session_config(true)))
+            b.iter(|| runner(&options(true)))
         });
     }
 
@@ -171,7 +173,7 @@ fn bench_negotiation_caching(c: &mut Criterion) {
                 move |b, &depth| {
                     b.iter_batched(
                         move || chain(depth),
-                        |mut w| run_workload(&mut w, session_config(cached), 1),
+                        |mut w| run_workload(&mut w, &options(cached), 1),
                         BatchSize::SmallInput,
                     )
                 }
@@ -188,10 +190,10 @@ fn bench_negotiation_caching(c: &mut Criterion) {
         b.iter_batched(
             || {
                 let mut w = delegation_chain(depth);
-                run_workload(&mut w, session_config(true), 1);
+                run_workload(&mut w, &options(true), 1);
                 w
             },
-            |mut w| run_workload(&mut w, session_config(true), 2),
+            |mut w| run_workload(&mut w, &options(true), 2),
             BatchSize::SmallInput,
         )
     });
@@ -199,38 +201,14 @@ fn bench_negotiation_caching(c: &mut Criterion) {
         b.iter_batched(
             || {
                 let mut w = delegation_chain(depth);
-                let mut cache = RemoteAnswerCache::new();
-                let mut net = SimNetwork::new(1);
-                let out = negotiate_cached(
-                    &mut w.peers,
-                    &mut net,
-                    session_config(true),
-                    NegotiationId(1),
-                    w.requester,
-                    w.responder,
-                    w.goal.clone(),
-                    &mut cache,
-                    &Telemetry::disabled(),
-                );
-                assert!(out.success);
-                (w, cache)
+                let opts = NegotiateOptions {
+                    cache: Some(SharedRemoteAnswerCache::new()),
+                    ..options(true)
+                };
+                run_workload(&mut w, &opts, 1);
+                (w, opts)
             },
-            |(mut w, mut cache)| {
-                let mut net = SimNetwork::new(2);
-                let out = negotiate_cached(
-                    &mut w.peers,
-                    &mut net,
-                    session_config(true),
-                    NegotiationId(2),
-                    w.requester,
-                    w.responder,
-                    w.goal.clone(),
-                    &mut cache,
-                    &Telemetry::disabled(),
-                );
-                assert!(out.success);
-                out.messages
-            },
+            |(mut w, opts)| run_workload(&mut w, &opts, 2),
             BatchSize::SmallInput,
         )
     });

@@ -14,16 +14,21 @@
 //! `e17_gem_mesh` quickbench scenario.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use peertrust_negotiation::{negotiate, negotiate_batch, BatchConfig, BatchJob, SessionConfig};
+use peertrust_negotiation::{
+    negotiate, negotiate_batch, BatchConfig, BatchJob, NegotiateOptions, SessionConfig,
+};
 use peertrust_net::{NegotiationId, SimNetwork};
 use peertrust_scenarios::delegation_mesh;
 use peertrust_telemetry::Telemetry;
 
-fn gem_config() -> SessionConfig {
-    SessionConfig {
-        gem: true,
-        gem_max_rounds: 32,
-        ..SessionConfig::default()
+fn gem_options() -> NegotiateOptions {
+    NegotiateOptions {
+        session: SessionConfig {
+            gem: true,
+            gem_max_rounds: 32,
+            ..SessionConfig::default()
+        },
+        ..NegotiateOptions::default()
     }
 }
 
@@ -32,10 +37,10 @@ fn run_mesh(n: usize, laps: usize, chords: bool) -> bool {
     let mut w = delegation_mesh(n, laps, chords);
     let mut net = SimNetwork::new(17);
     let requester = w.peer_ids[1];
-    let out = negotiate(
+    let (out, _) = negotiate(
         &mut w.peers,
         &mut net,
-        gem_config(),
+        &gem_options(),
         NegotiationId(1),
         requester,
         w.responder,
@@ -89,7 +94,7 @@ fn bench_batched(c: &mut Criterion) {
                 b.iter(|| {
                     let cfg = BatchConfig {
                         workers,
-                        session: gem_config(),
+                        session: gem_options().session,
                         ..BatchConfig::default()
                     };
                     let rep = negotiate_batch(&mesh.peers, &jobs, &cfg, &Telemetry::disabled());

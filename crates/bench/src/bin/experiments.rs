@@ -17,7 +17,8 @@
 use peertrust_bench::{run_negotiation, run_workload, with_big_stack, Row};
 use peertrust_core::{KnowledgeBase, Literal, PeerId, Rule, Sym, Term};
 use peertrust_negotiation::{
-    request_policy, verify_safe_sequence, NegotiationPeer, PeerMap, Strategy,
+    negotiate, request_policy, verify_safe_sequence, NegotiateOptions, NegotiationPeer, PeerMap,
+    SessionConfig, Strategy,
 };
 use peertrust_net::{NegotiationId, SimNetwork};
 use peertrust_scenarios::{
@@ -119,23 +120,28 @@ fn telemetry_export(out_dir: &std::path::Path) {
     assert_eq!(reach.len(), 32);
 
     let mut w = delegation_chain(4);
-    let mut cache = peertrust_negotiation::RemoteAnswerCache::new();
+    let traced = NegotiateOptions {
+        telemetry: telemetry.clone(),
+        ..NegotiateOptions::default()
+    };
+    let cached = NegotiateOptions {
+        cache: Some(peertrust_negotiation::SharedRemoteAnswerCache::new()),
+        ..traced.clone()
+    };
     for nid in [3u64, 4] {
         let mut net = SimNetwork::new(nid).with_telemetry(telemetry.clone());
-        let out = peertrust_negotiation::negotiate_cached(
+        let (out, _) = negotiate(
             &mut w.peers,
             &mut net,
-            peertrust_negotiation::SessionConfig::default(),
+            &cached,
             NegotiationId(nid),
             w.requester,
             w.responder,
             w.goal.clone(),
-            &mut cache,
-            &telemetry,
         );
         assert!(out.success, "delegation repeat {nid}");
     }
-    let cache_stats = cache.stats();
+    let cache_stats = cached.cache.as_ref().expect("cache attached").stats();
     println!(
         "  remote-answer cache: {} hits / {} misses / {} inserts",
         cache_stats.hits, cache_stats.misses, cache_stats.inserts
@@ -149,29 +155,30 @@ fn telemetry_export(out_dir: &std::path::Path) {
         let mut w = delegation_mesh(3, 2, false);
         let requester = w.peer_ids[1];
         let mut net = SimNetwork::new(17).with_telemetry(telemetry.clone());
-        let out = peertrust_negotiation::negotiate_traced(
+        let (out, _) = negotiate(
             &mut w.peers,
             &mut net,
-            peertrust_negotiation::SessionConfig {
-                gem: true,
-                gem_max_rounds: 32,
-                ..Default::default()
+            &NegotiateOptions {
+                session: SessionConfig {
+                    gem: true,
+                    gem_max_rounds: 32,
+                    ..Default::default()
+                },
+                ..traced.clone()
             },
             NegotiationId(17),
             requester,
             w.responder,
             w.goal.clone(),
-            &telemetry,
         );
         assert!(out.success, "gem mesh export");
 
         let mut w = delegation_mesh(3, 2, false);
         let requester = w.peer_ids[1];
         let mut net = SimNetwork::new(18).with_telemetry(telemetry.clone());
-        let refused = peertrust_negotiation::negotiate_traced(
+        let refused = Strategy::Parsimonious.run_traced(
             &mut w.peers,
             &mut net,
-            peertrust_negotiation::SessionConfig::default(),
             NegotiationId(18),
             requester,
             w.responder,
@@ -197,17 +204,19 @@ fn telemetry_export(out_dir: &std::path::Path) {
         let mut net = SimNetwork::new(15)
             .with_telemetry(telemetry.clone())
             .with_faults(FaultPlan::uniform(15, LinkFaults::lossy(0.2)));
-        let (out, rep) = peertrust_negotiation::negotiate_resilient(
+        let (out, rep) = negotiate(
             &mut w15.peers,
             &mut net,
-            peertrust_negotiation::SessionConfig::default(),
-            budget,
+            &NegotiateOptions {
+                resilience: Some(budget),
+                ..traced
+            },
             NegotiationId(15),
             w15.requester,
             w15.responder,
             w15.goal.clone(),
-            &telemetry,
         );
+        let rep = rep.expect("resilience requested");
         assert!(out.success && rep.converged, "resilient chain export");
         rep
     };
@@ -572,10 +581,9 @@ fn e10(rows: &mut Vec<Row>) {
         let mut total_msgs = 0u64;
         let t0 = std::time::Instant::now();
         for (i, (client, goal)) in goals.iter().enumerate() {
-            let out = peertrust_negotiation::negotiate(
+            let out = Strategy::Parsimonious.run(
                 &mut peers,
                 &mut net,
-                peertrust_negotiation::SessionConfig::default(),
                 NegotiationId(i as u64),
                 *client,
                 PeerId::new("Server"),
@@ -627,13 +635,16 @@ fn e17(rows: &mut Vec<Row>) {
         let mut w = delegation_mesh(n, laps, chords);
         let mut net = SimNetwork::new(17);
         let requester = w.peer_ids[1];
-        let out = peertrust_negotiation::negotiate(
+        let (out, _) = negotiate(
             &mut w.peers,
             &mut net,
-            peertrust_negotiation::SessionConfig {
-                gem: true,
-                gem_max_rounds: 32,
-                ..Default::default()
+            &NegotiateOptions {
+                session: SessionConfig {
+                    gem: true,
+                    gem_max_rounds: 32,
+                    ..Default::default()
+                },
+                ..NegotiateOptions::default()
             },
             NegotiationId(1),
             requester,
@@ -653,10 +664,9 @@ fn e17(rows: &mut Vec<Row>) {
         // unrolling, so the variant check refuses it.
         let mut w = delegation_mesh(n, laps, chords);
         let mut net = SimNetwork::new(17);
-        let classical = peertrust_negotiation::negotiate(
+        let classical = Strategy::Parsimonious.run(
             &mut w.peers,
             &mut net,
-            peertrust_negotiation::SessionConfig::default(),
             NegotiationId(1),
             requester,
             w.responder,
@@ -744,10 +754,9 @@ fn e11(rows: &mut Vec<Row>) {
         peers.insert(b);
 
         let mut net = SimNetwork::new(1);
-        let out = peertrust_negotiation::negotiate(
+        let out = Strategy::Parsimonious.run(
             &mut peers,
             &mut net,
-            peertrust_negotiation::SessionConfig::default(),
             NegotiationId(1),
             PeerId::new("B"),
             PeerId::new("A"),

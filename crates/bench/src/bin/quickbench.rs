@@ -10,7 +10,7 @@
 //! Usage:
 //!   quickbench [--quick] [--out PATH] [--baseline PATH]
 //!
-//! `--quick` lowers iteration counts for CI smoke runs.
+//! `--quick` lowers the batch scenarios' iteration counts for CI smoke runs.
 //!
 //! Besides wall time, each cold solver scenario is replayed once to
 //! collect its *deterministic* work counters (resolution steps), and the
@@ -21,7 +21,12 @@
 //!
 //! `--baseline` applies one rule set to every scenario present in both
 //! the fresh run and the baseline:
-//! - cold `e8_deep_chain_cold` / `e13_tabled_cold` fail past 1.25x;
+//! - cold `e8_deep_chain_cold` / `e13_tabled_cold` fail past 1.25x, on
+//!   their speed *relative to the host*: every iteration of every
+//!   scenario is paired with a fixed reference workload (SHA-256 over a
+//!   fixed buffer), the median scenario/reference ratio is stored as
+//!   `ref_ratio`, and this gate compares ratios, so a slower or busier
+//!   host moves both sides of it;
 //! - `e17_gem_mesh` and `e18_serving` (low batch iteration counts) fail
 //!   past 3x;
 //! - warm and batch medians are reported informationally;
@@ -31,6 +36,7 @@
 //!   clone-free startup guard.
 
 use peertrust_core::{KnowledgeBase, Literal, PeerId, Rule, Term};
+use peertrust_crypto::sha256_digest;
 use peertrust_engine::{AnswerTable, EngineConfig, SharedTable, Solver};
 use peertrust_negotiation::{
     negotiate_batch, serve_open_loop, BatchConfig, BatchJob, ServeConfig, SessionConfig,
@@ -73,45 +79,55 @@ fn engine_config(tabling: bool) -> EngineConfig {
     }
 }
 
-/// Median wall time in nanoseconds over `iters` runs of `f`. The closure
-/// returns a checksum that is asserted against `expect` so the work
-/// cannot be optimized away and the scenario stays self-validating.
-fn median_ns<F: FnMut() -> usize>(iters: usize, expect: usize, mut f: F) -> u128 {
-    let mut samples = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let t = Instant::now();
-        let got = f();
-        samples.push(t.elapsed().as_nanos());
-        assert_eq!(got, expect, "scenario checksum mismatch");
-    }
-    samples.sort_unstable();
+/// Wall time of one run of `f` in nanoseconds. The closure returns a
+/// checksum that is asserted against `expect` so the work cannot be
+/// optimized away and the scenario stays self-validating.
+fn time_ns(expect: usize, f: &mut impl FnMut() -> usize) -> f64 {
+    let t = Instant::now();
+    let got = f();
+    let ns = t.elapsed().as_nanos() as f64;
+    assert_eq!(got, expect, "scenario checksum mismatch");
+    ns
+}
+
+fn median(samples: &mut [f64]) -> f64 {
+    samples.sort_by(f64::total_cmp);
     samples[samples.len() / 2]
 }
 
 struct Report {
-    entries: Vec<(&'static str, u128, usize)>,
+    /// Per scenario: name, median ns, iterations, and the median
+    /// scenario/reference time ratio.
+    entries: Vec<(&'static str, f64, usize, f64)>,
     /// Deterministic work counters: `"<scenario>.<counter>"` -> value.
     /// Asserted exactly against the committed baseline — see module docs.
     counters: Vec<(String, u64)>,
 }
 
 impl Report {
+    /// Time `iters` runs of `f`, each followed by one run of the host-speed
+    /// reference — SHA-256 over a fixed 256 KiB buffer, about a fifth of a
+    /// cold e8/e13 solve — so both see the same host state. Records the
+    /// median time and the median per-iteration scenario/reference ratio.
     fn record(
         &mut self,
         name: &'static str,
         iters: usize,
         expect: usize,
-        f: impl FnMut() -> usize,
+        mut f: impl FnMut() -> usize,
     ) {
-        let ns = median_ns(iters, expect, f);
-        println!("{name:<28} median {:>12} ns  ({iters} iters)", ns);
-        self.entries.push((name, ns, iters));
-    }
-
-    /// Record one scenario's deterministic work counters from a replay's
-    /// [`peertrust_engine::Stats`].
-    fn count(&mut self, name: &str, stats: &peertrust_engine::Stats) {
-        self.count_value(name, "steps", stats.steps);
+        let buf: Vec<u8> = (0..1u32 << 18).map(|i| (i % 251) as u8).collect();
+        let mut sha = || sha256_digest(std::hint::black_box(&buf))[0] as usize;
+        let check = sha();
+        let (mut times, mut ratios): (Vec<f64>, Vec<f64>) = (0..iters)
+            .map(|_| {
+                let ns = time_ns(expect, &mut f);
+                (ns, ns / time_ns(check, &mut sha))
+            })
+            .unzip();
+        let (ns, ratio) = (median(&mut times), median(&mut ratios));
+        println!("{name:<28} median {ns:>12.0} ns  ({iters} iters, {ratio:.3}x reference)");
+        self.entries.push((name, ns, iters, ratio));
     }
 
     /// Record a single deterministic work counter.
@@ -121,52 +137,42 @@ impl Report {
     }
 
     fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"schema\": \"peertrust-quickbench-v1\",\n");
-        out.push_str("  \"scenarios\": {\n");
-        for (i, (name, ns, iters)) in self.entries.iter().enumerate() {
-            let comma = if i + 1 == self.entries.len() { "" } else { "," };
-            out.push_str(&format!(
-                "    \"{name}\": {{ \"median_ns\": {ns}, \"iters\": {iters} }}{comma}\n"
-            ));
-        }
-        out.push_str("  },\n  \"counters\": {\n");
-        for (i, (key, value)) in self.counters.iter().enumerate() {
-            let comma = if i + 1 == self.counters.len() {
-                ""
-            } else {
-                ","
-            };
-            out.push_str(&format!("    \"{key}\": {value}{comma}\n"));
-        }
-        out.push_str("  }\n}\n");
-        out
-    }
-
-    fn names(&self) -> Vec<&'static str> {
-        self.entries.iter().map(|(n, _, _)| *n).collect()
+        let scenarios: Vec<String> = self
+            .entries
+            .iter()
+            .map(|(name, ns, iters, ratio)| {
+                format!("    \"{name}\": {{ \"median_ns\": {ns:.0}, \"iters\": {iters}, \"ref_ratio\": {ratio:.4} }}")
+            })
+            .collect();
+        let counters: Vec<String> = self
+            .counters
+            .iter()
+            .map(|(key, value)| format!("    \"{key}\": {value}"))
+            .collect();
+        format!(
+            "{{\n  \"schema\": \"peertrust-quickbench-v1\",\n  \"scenarios\": {{\n{}\n  }},\n  \"counters\": {{\n{}\n  }}\n}}\n",
+            scenarios.join(",\n"),
+            counters.join(",\n")
+        )
     }
 }
 
-/// Pull `"<scenario>": { "median_ns": N` out of a quickbench JSON file
-/// without a full parser (the format is our own, written above).
-fn read_median(json: &str, scenario: &str) -> Option<u128> {
-    let key = format!("\"{scenario}\"");
-    let at = json.find(&key)?;
-    let rest = &json[at..];
-    let m = rest.find("\"median_ns\":")?;
-    let tail = rest[m + "\"median_ns\":".len()..].trim_start();
-    let digits: String = tail.chars().take_while(|c| c.is_ascii_digit()).collect();
-    digits.parse().ok()
-}
-
-/// Pull a flat `"<key>": N` counter out of a quickbench JSON file. The
-/// dotted counter keys never collide with scenario names.
-fn read_counter(json: &str, key: &str) -> Option<u64> {
+/// The number after the first `"<key>":` in `text` — enough to read our
+/// own quickbench JSON (written above) without a full parser. Dotted
+/// counter keys never collide with scenario names.
+fn number_after(text: &str, key: &str) -> Option<f64> {
     let needle = format!("\"{key}\":");
-    let at = json.find(&needle)?;
-    let tail = json[at + needle.len()..].trim_start();
-    let digits: String = tail.chars().take_while(|c| c.is_ascii_digit()).collect();
-    digits.parse().ok()
+    let tail = text[text.find(&needle)? + needle.len()..].trim_start();
+    let end = tail
+        .find(|c: char| !c.is_ascii_digit() && c != '.')
+        .unwrap_or(tail.len());
+    tail[..end].parse().ok()
+}
+
+/// `field` of the `"<scenario>": { ... }` object.
+fn read_field(json: &str, scenario: &str, field: &str) -> Option<f64> {
+    let object = &json[json.find(&format!("\"{scenario}\""))?..];
+    number_after(&object[..object.find('}')?], field)
 }
 
 fn main() {
@@ -182,9 +188,10 @@ fn main() {
     let baseline_path = arg_val("--baseline");
 
     // Cold-scenario counts stay high even under `--quick`: a cold solve
-    // is a few ms, and the 25% gate needs a stable median. Only the batch
+    // is a few ms, and the 25% gate needs a median ratio that averages
+    // over several seconds of a shared host's load. Only the batch
     // scenarios are trimmed.
-    let (deep_iters, table_iters, batch_iters) = if quick { (17, 17, 3) } else { (21, 21, 5) };
+    let (cold_iters, batch_iters) = (201, if quick { 3 } else { 5 });
 
     let mut report = Report {
         entries: Vec::new(),
@@ -199,11 +206,11 @@ fn main() {
     // e8: deep-chain cold solve, no tabling — the raw clause-resolution
     // hot path. e13: tabled cold solve — the table is built from scratch
     // each iteration.
-    report.record("e8_deep_chain_cold", deep_iters, 128, || {
+    report.record("e8_deep_chain_cold", cold_iters, 128, || {
         let mut solver = Solver::new(&deep, PeerId::new("self")).with_config(engine_config(false));
         solver.solve(&deep_goal).len()
     });
-    report.record("e13_tabled_cold", table_iters, 64, || {
+    report.record("e13_tabled_cold", cold_iters, 64, || {
         let mut solver = Solver::new(&tbl_kb, PeerId::new("self")).with_config(engine_config(true));
         solver.solve(&tbl_goal).len()
     });
@@ -211,10 +218,10 @@ fn main() {
     // Deterministic work counters for the cold scenarios.
     let mut replay = Solver::new(&deep, PeerId::new("self")).with_config(engine_config(false));
     assert_eq!(replay.solve(&deep_goal).len(), 128);
-    report.count("e8_deep_chain_cold", &replay.stats());
+    report.count_value("e8_deep_chain_cold", "steps", replay.stats().steps);
     let mut replay = Solver::new(&tbl_kb, PeerId::new("self")).with_config(engine_config(true));
     assert_eq!(replay.solve(&tbl_goal).len(), 64);
-    report.count("e13_tabled_cold", &replay.stats());
+    report.count_value("e13_tabled_cold", "steps", replay.stats().steps);
 
     // e13: warm table — answers served from a pre-populated shared table.
     let table: SharedTable = Rc::new(RefCell::new(AnswerTable::new()));
@@ -224,7 +231,7 @@ fn main() {
             .with_table(table.clone());
         assert_eq!(warmer.solve(&tbl_goal).len(), 64);
     }
-    report.record("e13_tabled_warm", table_iters, 64, || {
+    report.record("e13_tabled_warm", cold_iters, 64, || {
         let mut solver = Solver::new(&tbl_kb, PeerId::new("self"))
             .with_config(engine_config(true))
             .with_table(table.clone());
@@ -323,7 +330,7 @@ fn main() {
     std::fs::write(&out_path, &json).expect("write bench json");
     println!("wrote {out_path}");
 
-    let failed = baseline_path.is_some_and(|bp| baseline_sweep(&report, &json, &bp));
+    let failed = baseline_path.is_some_and(|bp| baseline_sweep(&report, &bp));
     if failed {
         std::process::exit(1);
     }
@@ -333,44 +340,46 @@ fn main() {
 /// `true` if a gate failed.
 ///
 /// The scenarios gated at 25% are the cold e8/e13 solves — the tracked
-/// solver metrics, measured over full iteration counts. Warm and batch
-/// medians are reported but not gated: their lower iteration counts make
-/// a hard 25% bound flaky. `e17_gem_mesh` and `e18_serving` share the low
-/// batch iteration counts, so they get a generous 3x guard instead —
-/// loose enough for scheduler-batch noise, tight enough to catch a
-/// catastrophic regression (e.g. every SCC grinding to the round limit).
-fn baseline_sweep(report: &Report, json: &str, path: &str) -> bool {
+/// solver metrics, measured over full iteration counts — and they are
+/// gated on their reference ratio, not on absolute time: an absolute
+/// baseline only holds on the host that wrote it. Warm and batch medians
+/// are reported but not gated: their lower iteration counts make a hard
+/// 25% bound flaky. `e17_gem_mesh` and `e18_serving` share the low batch
+/// iteration counts, so they get a generous 3x guard instead — loose
+/// enough for scheduler-batch noise and host speed, tight enough to
+/// catch a catastrophic regression (e.g. every SCC grinding to the round
+/// limit).
+fn baseline_sweep(report: &Report, path: &str) -> bool {
     const GATED_25PCT: &[&str] = &["e8_deep_chain_cold", "e13_tabled_cold"];
     const GATED_3X: &[&str] = &["e17_gem_mesh", "e18_serving"];
     let mut failed = false;
     let base =
         std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read baseline {path}: {e}"));
-    for name in report.names() {
-        let Some(base_ns) = read_median(&base, name) else {
+    for &(name, new_ns, _, new_ref) in &report.entries {
+        let Some(base_ns) = read_field(&base, name, "median_ns") else {
             continue;
         };
-        let new_ns = read_median(json, name).expect("own median");
-        let ratio = new_ns as f64 / base_ns as f64;
-        let budget = if GATED_25PCT.contains(&name) {
-            Some(1.25)
-        } else if GATED_3X.contains(&name) {
-            Some(3.0)
-        } else {
-            None
-        };
-        println!(
-            "{name} vs baseline: {new_ns} ns / {base_ns} ns = {ratio:.3}x{}",
-            if budget.is_some() {
-                ""
-            } else {
-                " (informational)"
-            }
-        );
-        if let Some(budget) = budget {
-            if ratio > budget {
-                eprintln!("FAIL: {name} regressed >{budget:.2}x vs {path}");
+        let ratio = new_ns / base_ns;
+        println!("{name} vs baseline: {new_ns:.0} ns / {base_ns:.0} ns = {ratio:.3}x");
+        let (ratio, budget) = if GATED_25PCT.contains(&name) {
+            let Some(base_ref) = read_field(&base, name, "ref_ratio") else {
+                eprintln!("FAIL: {name} has no ref_ratio in {path}");
                 failed = true;
-            }
+                continue;
+            };
+            println!(
+                "{name} vs baseline, host-relative: {new_ref:.3} / {base_ref:.3} = {:.3}x",
+                new_ref / base_ref
+            );
+            (new_ref / base_ref, 1.25)
+        } else if GATED_3X.contains(&name) {
+            (ratio, 3.0)
+        } else {
+            continue;
+        };
+        if ratio > budget {
+            eprintln!("FAIL: {name} regressed >{budget:.2}x vs {path}");
+            failed = true;
         }
     }
     // Work counters are deterministic — assert them *exactly*.
@@ -379,11 +388,11 @@ fn baseline_sweep(report: &Report, json: &str, path: &str) -> bool {
     // failure.
     let mut checked = 0;
     for (key, value) in &report.counters {
-        let Some(base_value) = read_counter(&base, key) else {
+        let Some(base_value) = number_after(&base, key) else {
             continue;
         };
         checked += 1;
-        if *value != base_value {
+        if *value as f64 != base_value {
             eprintln!("FAIL: counter {key} = {value}, baseline {path} says {base_value}");
             failed = true;
         }

@@ -10,11 +10,12 @@
 //!   canonical goal)` query returns the previously accepted answers
 //!   without touching the network. Credential pushes are not repeated —
 //!   the requester already holds the rules from the first exchange.
-//! * **Cross-negotiation** ([`RemoteAnswerCache`], opt-in via
-//!   `negotiate_cached`): a shared cache that survives negotiations, with
-//!   a TTL in network ticks and invalidation on disclosure-set change
-//!   (the responder's knowledge base growing means its answer set may
-//!   have grown too). Only answers released under a **public** context
+//! * **Cross-negotiation** ([`SharedRemoteAnswerCache`], opt-in via
+//!   [`crate::NegotiateOptions::cache`]): a cache that survives
+//!   negotiations, with a TTL in network ticks and invalidation on
+//!   disclosure-set change (the responder's knowledge base growing means
+//!   its answer set may have grown too). Only answers released under a
+//!   **public** context
 //!   ever enter this cache: a context-guarded release was licensed for
 //!   one specific requester at one specific point of a negotiation, and
 //!   replaying it outside that exchange would bypass the release policy.
@@ -57,8 +58,10 @@ struct Entry {
     responder_kb_len: usize,
 }
 
-/// Cross-negotiation remote-answer cache. Share one instance across
-/// `negotiate_cached` calls over the same `PeerMap`/network.
+/// Cross-negotiation remote-answer cache. Sessions reach it through a
+/// [`SharedRemoteAnswerCache`]; wrap a pre-warmed or TTL-configured
+/// instance with [`SharedRemoteAnswerCache::from_cache`] and share that
+/// across [`crate::negotiate`] calls over the same `PeerMap`/network.
 pub struct RemoteAnswerCache {
     /// `None` = no expiry; `Some(t)` = entries older than `t` ticks lapse.
     ttl_ticks: Option<u64>,
@@ -170,8 +173,9 @@ impl Default for RemoteAnswerCache {
     }
 }
 
-/// A [`RemoteAnswerCache`] shareable between negotiation sessions running
-/// on different worker threads (the batch scheduler's warm-cache mode).
+/// A [`RemoteAnswerCache`] shareable between negotiation sessions, on one
+/// thread or on many (the batch scheduler's warm-cache mode): the handle
+/// [`crate::NegotiateOptions::cache`] takes.
 ///
 /// One mutex around the whole cache, not sharding: a session touches the
 /// cross-negotiation cache only at remote-query boundaries (a handful of

@@ -21,7 +21,7 @@
 //!   not exist).
 
 use crate::outcome::{NegotiationOutcome, Refusal, RefusalReason};
-use crate::session::{negotiate, PeerMap, SessionConfig};
+use crate::session::{negotiate, NegotiateOptions, PeerMap, SessionConfig};
 use peertrust_core::{Literal, PeerId};
 use peertrust_engine::canonicalize;
 use peertrust_net::{NegotiationId, SimNetwork};
@@ -85,15 +85,18 @@ pub fn analyze_failure(
 
     let mut analyzed = Vec::new();
     let mut any_critical = false;
+    let mut opts = NegotiateOptions {
+        session: cfg,
+        ..NegotiateOptions::default()
+    };
     for refusal in distinct {
         let mut peers = build();
         let mut net = SimNetwork::new(0xFA11);
-        let mut cf_cfg = cfg.clone();
-        cf_cfg.release_overrides = vec![(refusal.peer, refusal.goal.clone())];
-        let outcome = negotiate(
+        opts.session.release_overrides = vec![(refusal.peer, refusal.goal.clone())];
+        let (outcome, _) = negotiate(
             &mut peers,
             &mut net,
-            cf_cfg,
+            &opts,
             NegotiationId(0xFA11),
             requester,
             responder,
@@ -131,15 +134,18 @@ pub fn find_rescue_set(
     max_passes: usize,
 ) -> Option<Vec<(PeerId, Literal)>> {
     let mut overrides: Vec<(PeerId, Literal)> = Vec::new();
+    let mut opts = NegotiateOptions {
+        session: cfg,
+        ..NegotiateOptions::default()
+    };
     for _ in 0..max_passes {
         let mut peers = build();
         let mut net = SimNetwork::new(0xFA11);
-        let mut run_cfg = cfg.clone();
-        run_cfg.release_overrides = overrides.clone();
-        let outcome = negotiate(
+        opts.session.release_overrides = overrides.clone();
+        let (outcome, _) = negotiate(
             &mut peers,
             &mut net,
-            run_cfg,
+            &opts,
             NegotiationId(0xFA11),
             requester,
             responder,
@@ -172,6 +178,7 @@ pub fn find_rescue_set(
 mod tests {
     use super::*;
     use crate::peer::NegotiationPeer;
+    use crate::strategy::Strategy;
     use peertrust_crypto::KeyRegistry;
     use peertrust_parser::parse_literal;
 
@@ -211,10 +218,9 @@ mod tests {
         let goal = parse_literal(r#"resource("Alice")"#).unwrap();
         let mut peers = build();
         let mut net = SimNetwork::new(1);
-        let failed = negotiate(
+        let failed = Strategy::Parsimonious.run(
             &mut peers,
             &mut net,
-            SessionConfig::default(),
             NegotiationId(1),
             PeerId::new("Alice"),
             PeerId::new("E-Learn"),
@@ -258,10 +264,9 @@ mod tests {
         let goal = parse_literal(r#"resource("Alice")"#).unwrap();
         let mut peers = build();
         let mut net = SimNetwork::new(1);
-        let failed = negotiate(
+        let failed = Strategy::Parsimonious.run(
             &mut peers,
             &mut net,
-            SessionConfig::default(),
             NegotiationId(1),
             PeerId::new("Alice"),
             PeerId::new("E-Learn"),
@@ -312,10 +317,9 @@ mod tests {
         let goal = parse_literal(r#"resource("Client")"#).unwrap();
         let mut peers = build();
         let mut net = SimNetwork::new(1);
-        let failed = negotiate(
+        let failed = Strategy::Parsimonious.run(
             &mut peers,
             &mut net,
-            SessionConfig::default(),
             NegotiationId(1),
             PeerId::new("Client"),
             PeerId::new("Server"),

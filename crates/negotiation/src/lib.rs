@@ -7,11 +7,13 @@
 //! * [`peer`] — a negotiation peer: knowledge base, crypto identity,
 //!   effort policy, credential store (with the §3.2 issuer- and
 //!   sender-extension axioms applied on mint/receive);
-//! * [`session`] — the backward-chaining (parsimonious) driver: delegated
-//!   goals become network queries, release policies are enforced by a
-//!   licensing scan whose context proofs run through the same distributed
-//!   machinery, answers ship with their certified proofs, recipients
-//!   verify third-party statements against signed material;
+//! * [`session`] — the backward-chaining (parsimonious) driver and its one
+//!   entry point, [`negotiate`]: delegated goals become network queries,
+//!   release policies are enforced by a licensing scan whose context
+//!   proofs run through the same distributed machinery, answers ship with
+//!   their certified proofs, recipients verify third-party statements
+//!   against signed material. [`NegotiateOptions`] attaches the optional
+//!   answer cache, delivery supervision and telemetry;
 //! * [`eager`] — the eager strategy: push every unlocked credential each
 //!   round; complete (succeeds iff a safe disclosure sequence exists);
 //! * [`strategy`] — dispatch over both strategies for the experiments;
@@ -32,7 +34,8 @@
 //!   crossbeam router, one peer per thread;
 //! * [`scheduler`] — the multi-core batch driver: N independent
 //!   negotiations over a worker pool with per-job peer-map snapshots, an
-//!   optional shared answer cache, and deterministic outcome ordering;
+//!   optional shared answer cache and fault grid, and deterministic
+//!   outcome ordering. Its job runner is the one [`serve`] runs too;
 //! * [`serve`] — the open-loop serving engine: deterministic Poisson
 //!   arrivals into a bounded admission queue over virtual servers, load
 //!   shedding with typed `Overload` refusals, tick-exact latency
@@ -70,18 +73,13 @@ pub use outcome::{
     RefusalReason, SafetyViolation,
 };
 pub use peer::{issuer_extended, sender_extended, NegotiationPeer, PeerConfig, PeerError};
-pub use resilience::{
-    negotiate_resilient, negotiate_resilient_shared, ResilienceConfig, ResilienceFailure,
-    ResilienceReport, ResilienceStats,
-};
+pub use resilience::{ResilienceConfig, ResilienceFailure, ResilienceReport, ResilienceStats};
 pub use scheduler::{negotiate_batch, BatchConfig, BatchFaults, BatchJob, BatchReport, BatchStats};
 pub use serve::{
     poisson_arrivals, serve_open_loop, ServeConfig, ServeDecision, ServeReport, ServeStats,
     TickQuantiles,
 };
-pub use session::{
-    negotiate, negotiate_cached, negotiate_shared_cached, negotiate_traced, PeerMap, SessionConfig,
-};
+pub use session::{negotiate, NegotiateOptions, PeerMap, SessionConfig, MAX_HOP_DEPTH};
 pub use strategy::Strategy;
 pub use threaded_host::{
     negotiate_threaded, negotiate_threaded_with, ThreadedConfig, ThreadedFailure, ThreadedOutcome,

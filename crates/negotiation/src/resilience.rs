@@ -33,6 +33,11 @@
 //! forever. Failed deliveries surface in the outcome as
 //! `RefusalReason::Unreachable` refusals.
 //!
+//! To use it, attach a fault lane to the network
+//! ([`peertrust_net::SimNetwork::with_faults`]) and set
+//! [`crate::NegotiateOptions::resilience`]: [`crate::negotiate`] then
+//! supervises every delivery and returns a [`ResilienceReport`].
+//!
 //! With [`peertrust_net::FaultPlan::none`] the resilient driver is bit-identical to the
 //! plain one — outcomes, metrics, and timeline events — because no
 //! retry, suppression, or resume code path is reachable and all
@@ -43,12 +48,9 @@
 //! link latency, or fault-free deliveries would be misread as timeouts
 //! (the default of 64 covers every latency model in the experiments).
 
-use crate::answer_cache::SharedRemoteAnswerCache;
-use crate::outcome::NegotiationOutcome;
-use crate::session::{negotiate_with_cache, CacheRef, PeerMap, SessionConfig};
+use crate::session::PeerMap;
 use peertrust_core::PeerId;
-use peertrust_net::{MessageId, NegotiationId, SimNetwork, Tick};
-use peertrust_telemetry::Telemetry;
+use peertrust_net::{MessageId, Tick};
 use std::collections::HashSet;
 
 /// Retry/timeout policy for one negotiation session.
@@ -186,77 +188,17 @@ impl ResilienceState {
     }
 }
 
-/// [`crate::session::negotiate_traced`] hardened against an unreliable
-/// transport: attach a fault lane to `net` (see
-/// [`SimNetwork::with_faults`]) and the session retries, suppresses
-/// duplicates, and resumes crashed peers per `resilience`. Returns the
-/// outcome plus a [`ResilienceReport`] of what the layer had to do.
-#[allow(clippy::too_many_arguments)]
-pub fn negotiate_resilient(
-    peers: &mut PeerMap,
-    net: &mut SimNetwork,
-    cfg: SessionConfig,
-    resilience: ResilienceConfig,
-    nid: NegotiationId,
-    requester: PeerId,
-    responder: PeerId,
-    goal: peertrust_core::Literal,
-    telemetry: &Telemetry,
-) -> (NegotiationOutcome, ResilienceReport) {
-    let (outcome, report) = negotiate_with_cache(
-        peers,
-        net,
-        cfg,
-        nid,
-        requester,
-        responder,
-        goal,
-        CacheRef::None,
-        Some(resilience),
-        telemetry,
-    );
-    (outcome, report.expect("resilience attached"))
-}
-
-/// [`negotiate_resilient`] against a shared cross-negotiation answer
-/// cache (the batch scheduler's warm-cache mode).
-#[allow(clippy::too_many_arguments)]
-pub fn negotiate_resilient_shared(
-    peers: &mut PeerMap,
-    net: &mut SimNetwork,
-    cfg: SessionConfig,
-    resilience: ResilienceConfig,
-    nid: NegotiationId,
-    requester: PeerId,
-    responder: PeerId,
-    goal: peertrust_core::Literal,
-    cache: &SharedRemoteAnswerCache,
-    telemetry: &Telemetry,
-) -> (NegotiationOutcome, ResilienceReport) {
-    let (outcome, report) = negotiate_with_cache(
-        peers,
-        net,
-        cfg,
-        nid,
-        requester,
-        responder,
-        goal,
-        CacheRef::Shared(cache),
-        Some(resilience),
-        telemetry,
-    );
-    (outcome, report.expect("resilience attached"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::outcome::RefusalReason;
+    use crate::outcome::{NegotiationOutcome, RefusalReason};
     use crate::peer::NegotiationPeer;
-    use crate::session::negotiate;
+    use crate::session::{negotiate, NegotiateOptions};
+    use crate::strategy::Strategy;
     use peertrust_crypto::KeyRegistry;
-    use peertrust_net::{FaultPlan, LinkFaults};
+    use peertrust_net::{FaultPlan, LinkFaults, NegotiationId, SimNetwork};
     use peertrust_parser::parse_literal;
+    use peertrust_telemetry::Telemetry;
 
     /// The bilateral scenario from the session tests: E-Learn guards
     /// `resource` behind a UIUC credential Alice releases only to BBB
@@ -305,10 +247,9 @@ mod tests {
     fn fault_free_outcome() -> NegotiationOutcome {
         let mut peers = bilateral_peers();
         let mut net = SimNetwork::new(7);
-        negotiate(
+        Strategy::Parsimonious.run(
             &mut peers,
             &mut net,
-            SessionConfig::default(),
             NegotiationId(1),
             alice(),
             elearn(),
@@ -322,17 +263,30 @@ mod tests {
     ) -> (NegotiationOutcome, ResilienceReport) {
         let mut peers = bilateral_peers();
         let mut net = SimNetwork::new(7).with_faults(plan);
-        negotiate_resilient(
-            &mut peers,
-            &mut net,
-            SessionConfig::default(),
-            resilience,
+        resilient(&mut peers, &mut net, resilience, Telemetry::disabled())
+    }
+
+    fn resilient(
+        peers: &mut PeerMap,
+        net: &mut SimNetwork,
+        resilience: ResilienceConfig,
+        telemetry: Telemetry,
+    ) -> (NegotiationOutcome, ResilienceReport) {
+        let opts = NegotiateOptions {
+            resilience: Some(resilience),
+            telemetry,
+            ..NegotiateOptions::default()
+        };
+        let (out, report) = negotiate(
+            peers,
+            net,
+            &opts,
             NegotiationId(1),
             alice(),
             elearn(),
             goal(),
-            &Telemetry::disabled(),
-        )
+        );
+        (out, report.expect("resilience requested"))
     }
 
     #[test]
@@ -470,20 +424,15 @@ mod tests {
         let (tele, _ring) = Telemetry::ring(4096);
         let mut peers = bilateral_peers();
         let mut net = SimNetwork::new(7).with_faults(FaultPlan::uniform(2, LinkFaults::drops(0.5)));
-        let (_out, report) = negotiate_resilient(
+        let (_out, report) = resilient(
             &mut peers,
             &mut net,
-            SessionConfig::default(),
             ResilienceConfig {
                 max_retries: 8,
                 query_deadline_ticks: 128,
                 ..ResilienceConfig::default()
             },
-            NegotiationId(1),
-            alice(),
-            elearn(),
-            goal(),
-            &tele,
+            tele.clone(),
         );
         let m = tele.metrics().unwrap();
         assert_eq!(

@@ -33,45 +33,17 @@
 
 use crate::answer_cache::{CacheStats, SharedRemoteAnswerCache};
 use crate::outcome::NegotiationOutcome;
-use crate::resilience::{
-    negotiate_resilient, negotiate_resilient_shared, ResilienceConfig, ResilienceReport,
-    ResilienceStats,
-};
-use crate::session::{negotiate_shared_cached, negotiate_traced, PeerMap, SessionConfig};
+use crate::resilience::{ResilienceConfig, ResilienceReport, ResilienceStats};
+use crate::session::{negotiate, NegotiateOptions, PeerMap, SessionConfig};
 use peertrust_core::{Literal, PeerId};
 use peertrust_net::faults::FaultPlan;
 use peertrust_net::message::NegotiationId;
 use peertrust_net::sim::SimNetwork;
-use peertrust_telemetry::{MetricsSnapshot, Recorder, SpanId, Telemetry, TraceEvent};
+use peertrust_telemetry::{Recorder, SpanId, Telemetry, TraceEvent};
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// Buffers every event a worker's private pipeline emits, so the batch
-/// can re-emit the union into the caller's pipeline at join in an order
-/// that does not depend on scheduling (see [`negotiate_batch`]; also
-/// shared with the open-loop driver in [`crate::serve`]).
-pub(crate) struct EventCollector {
-    pub(crate) events: Mutex<Vec<TraceEvent>>,
-}
-
-impl EventCollector {
-    pub(crate) fn new() -> Arc<EventCollector> {
-        Arc::new(EventCollector {
-            events: Mutex::new(Vec::new()),
-        })
-    }
-}
-
-/// The `Recorder` handle workers hold onto an [`EventCollector`] (a
-/// newtype because `Recorder` cannot be implemented on `Arc` directly).
-pub(crate) struct SharedCollector(pub(crate) Arc<EventCollector>);
-
-impl Recorder for SharedCollector {
-    fn record(&self, event: TraceEvent) {
-        self.0.events.lock().expect("collector lock").push(event);
-    }
-}
 
 /// One unit of work: `requester` asks `responder` to establish `goal`.
 #[derive(Clone, Debug)]
@@ -179,20 +151,19 @@ pub fn negotiate_batch(
     telemetry: &Telemetry,
 ) -> BatchReport {
     let workers = cfg.workers.max(1).min(jobs.len().max(1));
-    // Freeze once per batch: the per-job `peers.clone()` in `run_job`
-    // then shares every peer's frozen KB base, signed map and registry
-    // by `Arc` instead of deep-copying the rule stores.
-    let prepared = (!peers.is_frozen()).then(|| {
-        let mut prepared = peers.clone();
-        prepared.freeze();
-        prepared
-    });
-    let peers = prepared.as_ref().unwrap_or(peers);
+    let peers = &*frozen(peers);
     let cache_before = cfg
         .shared_cache
         .as_ref()
         .map(|c| c.stats())
         .unwrap_or_default();
+    let shared = NegotiateOptions {
+        session: cfg.session.clone(),
+        cache: cfg.shared_cache.clone(),
+        resilience: cfg.faults.as_ref().map(|f| f.resilience.clone()),
+        telemetry: telemetry.clone(),
+    };
+    let plan = cfg.faults.as_ref().map(|f| &f.plan);
 
     let next_job = AtomicUsize::new(0);
     #[allow(clippy::type_complexity)]
@@ -200,22 +171,14 @@ pub fn negotiate_batch(
         Mutex::new((0..jobs.len()).map(|_| None).collect());
     let started = Instant::now();
 
-    type WorkerYield = (Duration, MetricsSnapshot, Vec<TraceEvent>);
-    let per_worker: Vec<WorkerYield> = std::thread::scope(|scope| {
+    let per_worker: Vec<(Duration, Worker)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 let next_job = &next_job;
                 let slots = &slots;
+                let shared = &shared;
                 scope.spawn(move || {
-                    // A private registry per worker: counters accumulate
-                    // lock-free with respect to other workers and merge
-                    // into the caller's registry at join. Events buffer
-                    // in a collector for deterministic re-emission.
-                    let collector = telemetry.enabled().then(EventCollector::new);
-                    let worker_tele = match &collector {
-                        Some(c) => Telemetry::with_recorder(Box::new(SharedCollector(c.clone()))),
-                        None => Telemetry::disabled(),
-                    };
+                    let worker = Worker::new(shared);
                     let mut busy = Duration::ZERO;
                     loop {
                         let idx = next_job.fetch_add(1, Ordering::Relaxed);
@@ -223,18 +186,12 @@ pub fn negotiate_batch(
                             break;
                         };
                         let job_started = Instant::now();
-                        let outcome = run_job(peers, job, idx, cfg, &worker_tele);
+                        let (_, outcome, report) =
+                            run_job(peers, job, idx, cfg.net_seed, plan, &worker.opts);
                         busy += job_started.elapsed();
-                        slots.lock().expect("slot lock")[idx] = Some(outcome);
+                        slots.lock().expect("slot lock")[idx] = Some((outcome, report));
                     }
-                    let snapshot = worker_tele
-                        .metrics()
-                        .map(|m| m.snapshot())
-                        .unwrap_or_default();
-                    let events = collector
-                        .map(|c| std::mem::take(&mut *c.events.lock().expect("collector lock")))
-                        .unwrap_or_default();
-                    (busy, snapshot, events)
+                    (busy, worker)
                 })
             })
             .collect();
@@ -252,31 +209,10 @@ pub fn negotiate_batch(
         .map(|o| o.expect("every job filled its slot"))
         .unzip();
 
-    // Merge per-worker metric registries into the caller's.
-    if let Some(metrics) = telemetry.metrics() {
-        for (_, snapshot, _) in &per_worker {
-            metrics.merge(snapshot);
-        }
-    }
-
-    // Re-emit buffered worker events into the caller's pipeline. A
-    // negotiation never spans workers, so sorting stably by negotiation
-    // id (ties broken by each worker's emission order) yields a stream —
-    // and therefore a reconstructed trace — that is bit-identical across
-    // runs and worker counts.
-    if telemetry.enabled() {
-        let mut events: Vec<TraceEvent> = per_worker
-            .iter()
-            .flat_map(|(_, _, ev)| ev.iter().cloned())
-            .collect();
-        events.sort_by_key(|e| (e.negotiation, e.seq));
-        for e in events {
-            telemetry.event(e.at, SpanId(e.span), e.negotiation, &e.kind, e.fields);
-        }
-    }
+    let worker_busy: Vec<Duration> = per_worker.iter().map(|(busy, _)| *busy).collect();
+    merge_workers(telemetry, per_worker.into_iter().map(|(_, worker)| worker));
 
     let successes = outcomes.iter().filter(|o| o.success).count();
-    let worker_busy: Vec<Duration> = per_worker.iter().map(|(busy, _, _)| *busy).collect();
     let busy_total: Duration = worker_busy.iter().sum();
     let wall_secs = wall.as_secs_f64();
     let negotiations_per_sec = if wall_secs > 0.0 {
@@ -347,73 +283,109 @@ pub fn negotiate_batch(
     }
 }
 
-/// Execute one job on an isolated peer-map snapshot and per-job network.
-fn run_job(
+/// `peers` frozen ([`PeerMap::freeze`]): borrowed when it already is,
+/// else a frozen private copy. Both executors call this once at setup, so
+/// every per-job snapshot in [`run_job`] is a copy-on-write view over the
+/// shared rule stores (O(#peers) pointer bumps, no KB deep copy).
+pub(crate) fn frozen(peers: &PeerMap) -> Cow<'_, PeerMap> {
+    if peers.is_frozen() {
+        return Cow::Borrowed(peers);
+    }
+    let mut prepared = peers.clone();
+    prepared.freeze();
+    Cow::Owned(prepared)
+}
+
+/// Run job `idx` the way both executors do: on its own snapshot of the
+/// frozen `peers`, over its own [`SimNetwork::for_job`] stream (faulted
+/// by `faults.for_job(idx)` when set), as negotiation `idx + 1`. Every
+/// input depends only on the job index, never on the executing thread.
+/// Returns the snapshot too, so the serving driver can check it stayed
+/// copy-on-write.
+pub(crate) fn run_job(
     peers: &PeerMap,
     job: &BatchJob,
     idx: usize,
-    cfg: &BatchConfig,
-    telemetry: &Telemetry,
-) -> (NegotiationOutcome, Option<ResilienceReport>) {
-    // `peers` was frozen at batch setup, so this snapshot is a
-    // copy-on-write view over the shared rule stores (O(#peers), no KB
-    // deep copy); the session mutates only the snapshot's overlays.
-    let mut job_peers = peers.clone();
-    let mut net = SimNetwork::for_job(cfg.net_seed, idx);
-    let nid = NegotiationId(idx as u64 + 1);
-    if let Some(faults) = &cfg.faults {
-        net = net.with_faults(faults.plan.for_job(idx));
-        let (outcome, report) = match &cfg.shared_cache {
-            Some(cache) => negotiate_resilient_shared(
-                &mut job_peers,
-                &mut net,
-                cfg.session.clone(),
-                faults.resilience.clone(),
-                nid,
-                job.requester,
-                job.responder,
-                job.goal.clone(),
-                cache,
-                telemetry,
-            ),
-            None => negotiate_resilient(
-                &mut job_peers,
-                &mut net,
-                cfg.session.clone(),
-                faults.resilience.clone(),
-                nid,
-                job.requester,
-                job.responder,
-                job.goal.clone(),
-                telemetry,
-            ),
-        };
-        return (outcome, Some(report));
+    net_seed: u64,
+    faults: Option<&FaultPlan>,
+    opts: &NegotiateOptions,
+) -> (PeerMap, NegotiationOutcome, Option<ResilienceReport>) {
+    let mut snapshot = peers.clone();
+    let mut net = SimNetwork::for_job(net_seed, idx);
+    if let Some(plan) = faults {
+        net = net.with_faults(plan.for_job(idx));
     }
-    let outcome = match &cfg.shared_cache {
-        Some(cache) => negotiate_shared_cached(
-            &mut job_peers,
-            &mut net,
-            cfg.session.clone(),
-            nid,
-            job.requester,
-            job.responder,
-            job.goal.clone(),
-            cache,
-            telemetry,
-        ),
-        None => negotiate_traced(
-            &mut job_peers,
-            &mut net,
-            cfg.session.clone(),
-            nid,
-            job.requester,
-            job.responder,
-            job.goal.clone(),
-            telemetry,
-        ),
+    let (outcome, report) = negotiate(
+        &mut snapshot,
+        &mut net,
+        opts,
+        NegotiationId(idx as u64 + 1),
+        job.requester,
+        job.responder,
+        job.goal.clone(),
+    );
+    (snapshot, outcome, report)
+}
+
+/// Buffers every event a worker's private pipeline emits, for
+/// [`merge_workers`] to re-emit in a scheduling-independent order.
+#[derive(Clone, Default)]
+struct EventBuffer(Arc<Mutex<Vec<TraceEvent>>>);
+
+impl Recorder for EventBuffer {
+    fn record(&self, event: TraceEvent) {
+        self.0.lock().expect("event buffer lock").push(event);
+    }
+}
+
+/// One executor worker: the run's negotiation options with a private
+/// telemetry pipeline swapped in (a registry of its own plus an event
+/// buffer), so workers never contend on the caller's pipeline.
+pub(crate) struct Worker {
+    pub(crate) opts: NegotiateOptions,
+    events: Option<EventBuffer>,
+}
+
+impl Worker {
+    pub(crate) fn new(shared: &NegotiateOptions) -> Worker {
+        let events = shared.telemetry.enabled().then(EventBuffer::default);
+        let telemetry = match &events {
+            Some(buffer) => Telemetry::with_recorder(Box::new(buffer.clone())),
+            None => Telemetry::disabled(),
+        };
+        Worker {
+            opts: NegotiateOptions {
+                telemetry,
+                ..shared.clone()
+            },
+            events,
+        }
+    }
+}
+
+/// Fold finished workers into the caller's pipeline: merge their metric
+/// registries, then re-emit their buffered events. A negotiation never
+/// spans workers, so sorting stably by negotiation id (ties broken by
+/// each worker's emission order) yields a stream — and therefore a
+/// reconstructed trace — that is bit-identical across runs and worker
+/// counts.
+pub(crate) fn merge_workers(telemetry: &Telemetry, workers: impl IntoIterator<Item = Worker>) {
+    let Some(metrics) = telemetry.metrics() else {
+        return;
     };
-    (outcome, None)
+    let mut events = Vec::new();
+    for worker in workers {
+        if let Some(m) = worker.opts.telemetry.metrics() {
+            metrics.merge(&m.snapshot());
+        }
+        if let Some(buffer) = worker.events {
+            events.append(&mut buffer.0.lock().expect("event buffer lock"));
+        }
+    }
+    events.sort_by_key(|e: &TraceEvent| (e.negotiation, e.seq));
+    for e in events {
+        telemetry.event(e.at, SpanId(e.span), e.negotiation, &e.kind, e.fields);
+    }
 }
 
 /// Record the batch-level `negotiation.throughput.*` series.

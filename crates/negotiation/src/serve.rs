@@ -25,10 +25,11 @@
 //!   [`RefusalReason::Overload`] refusal and a
 //!   [`ResilienceFailure::Overload`] record. Nothing in the driver
 //!   buffers beyond `queue_cap + servers` jobs;
-//! * **service** — an admitted job runs a real negotiation on a
-//!   copy-on-write snapshot of the frozen peer map (DESIGN.md §4i) with
-//!   its own [`SimNetwork::for_job`] stream; its virtual service time is
-//!   the negotiation's `elapsed_ticks`. Because per-job service times
+//! * **service** — an admitted job goes through the batch scheduler's
+//!   job runner: a real negotiation on a copy-on-write snapshot of the
+//!   frozen peer map (DESIGN.md §4i) with its own
+//!   [`peertrust_net::SimNetwork::for_job`] stream. Its virtual service
+//!   time is the negotiation's `elapsed_ticks`. Because per-job service times
 //!   depend only on the job index, the whole M/G/c simulation — admit
 //!   and shed decisions, waits, completions — is bit-identical across
 //!   runs *and* worker counts.
@@ -44,12 +45,12 @@
 use crate::answer_cache::SharedRemoteAnswerCache;
 use crate::outcome::{NegotiationOutcome, Refusal, RefusalReason};
 use crate::resilience::ResilienceFailure;
-use crate::scheduler::{BatchJob, EventCollector, SharedCollector};
-use crate::session::{negotiate_shared_cached, negotiate_traced, PeerMap, SessionConfig};
-use peertrust_net::{NegotiationId, SimNetwork, Tick};
-use peertrust_telemetry::{MetricsSnapshot, SpanId, Telemetry, TraceEvent};
+use crate::scheduler::{frozen, merge_workers, run_job, BatchJob, Worker};
+use crate::session::{NegotiateOptions, PeerMap, SessionConfig};
+use peertrust_net::Tick;
+use peertrust_telemetry::Telemetry;
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 
 /// Open-loop driver configuration.
 #[derive(Clone)]
@@ -67,7 +68,8 @@ pub struct ServeConfig {
     /// Seed for the Poisson arrival process.
     pub arrival_seed: u64,
     /// Base seed for the per-job simulated networks
-    /// ([`SimNetwork::for_job`]), exactly as in the batch scheduler.
+    /// ([`peertrust_net::SimNetwork::for_job`]), exactly as in the batch
+    /// scheduler.
     pub net_seed: u64,
     /// OS worker threads executing admitted jobs. Result-invisible: every
     /// decision and tick is identical across worker counts. `0` and `1`
@@ -218,8 +220,9 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// What one executed job hands back to the coordinator.
 struct JobResult {
     outcome: NegotiationOutcome,
-    /// Did the job's peer-map snapshot share every frozen KB base with
-    /// the serving base (`true` = copy-on-write, no deep clone)?
+    /// Did the job's peer-map snapshot still share every frozen KB base
+    /// with the serving base after the negotiation (`true` =
+    /// copy-on-write throughout, no deep clone)?
     shared_base: bool,
 }
 
@@ -312,15 +315,7 @@ pub fn serve_open_loop(
     cfg: &ServeConfig,
     telemetry: &Telemetry,
 ) -> ServeReport {
-    // Freeze once, exactly like the batch scheduler: every per-job
-    // snapshot below is then a copy-on-write view over Arc-shared rule
-    // stores.
-    let prepared = (!peers.is_frozen()).then(|| {
-        let mut prepared = peers.clone();
-        prepared.freeze();
-        prepared
-    });
-    let peers = prepared.as_ref().unwrap_or(peers);
+    let peers = &*frozen(peers);
 
     let n = jobs.len();
     let arrivals = poisson_arrivals(n, cfg.mean_interarrival_ticks, cfg.arrival_seed);
@@ -336,69 +331,56 @@ pub fn serve_open_loop(
 
     let work = WorkQueue::new();
     let slots = ResultSlots::new(n);
+    let shared = NegotiateOptions {
+        session: cfg.session.clone(),
+        cache: cfg.shared_cache.clone(),
+        resilience: None,
+        telemetry: telemetry.clone(),
+    };
+    let serve_job = |idx: usize, opts: &NegotiateOptions| {
+        let (snapshot, outcome, _) = run_job(peers, &jobs[idx], idx, cfg.net_seed, None, opts);
+        JobResult {
+            outcome,
+            shared_base: snapshot.shares_frozen_bases_with(peers),
+        }
+    };
 
-    type WorkerYield = (MetricsSnapshot, Vec<TraceEvent>);
-    let (sim, mut per_worker) = std::thread::scope(|scope| {
+    let (sim, per_worker) = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..pool_workers)
             .map(|_| {
                 let work = &work;
                 let slots = &slots;
+                let (shared, serve_job) = (&shared, &serve_job);
                 scope.spawn(move || {
-                    let collector = telemetry.enabled().then(EventCollector::new);
-                    let worker_tele = match &collector {
-                        Some(c) => Telemetry::with_recorder(Box::new(SharedCollector(c.clone()))),
-                        None => Telemetry::disabled(),
-                    };
+                    let worker = Worker::new(shared);
                     while let Some(idx) = work.pop() {
-                        slots.fill(idx, run_one(peers, &jobs[idx], idx, cfg, &worker_tele));
+                        slots.fill(idx, serve_job(idx, &worker.opts));
                     }
-                    yield_worker(worker_tele, collector)
+                    worker
                 })
             })
             .collect();
 
         // The coordinator's own pipeline for inline (sequential-mode)
         // jobs, merged through the same path as the workers'.
-        let collector = telemetry.enabled().then(EventCollector::new);
-        let inline_tele = match &collector {
-            Some(c) => Telemetry::with_recorder(Box::new(SharedCollector(c.clone()))),
-            None => Telemetry::disabled(),
-        };
+        let inline = Worker::new(&shared);
         let dispatch = |idx: usize| {
             if sequential {
-                slots.fill(idx, run_one(peers, &jobs[idx], idx, cfg, &inline_tele));
+                slots.fill(idx, serve_job(idx, &inline.opts));
             } else {
                 work.push(idx);
             }
         };
         let sim = simulate(&arrivals, cfg, &dispatch, &slots);
         work.close();
-        let mut per_worker: Vec<WorkerYield> = handles
+        let mut per_worker: Vec<Worker> = handles
             .into_iter()
             .map(|h| h.join().expect("serve worker panicked"))
             .collect();
-        per_worker.push(yield_worker(inline_tele, collector));
+        per_worker.push(inline);
         (sim, per_worker)
     });
-
-    // Merge per-worker metric registries, then re-emit buffered events
-    // sorted by (negotiation, seq) — the same scheduling-independent
-    // order the batch scheduler uses.
-    if let Some(metrics) = telemetry.metrics() {
-        for (snapshot, _) in &per_worker {
-            metrics.merge(snapshot);
-        }
-    }
-    if telemetry.enabled() {
-        let mut events: Vec<TraceEvent> = per_worker
-            .iter_mut()
-            .flat_map(|(_, ev)| std::mem::take(ev))
-            .collect();
-        events.sort_by_key(|e| (e.negotiation, e.seq));
-        for e in events {
-            telemetry.event(e.at, SpanId(e.span), e.negotiation, &e.kind, e.fields);
-        }
-    }
+    merge_workers(telemetry, per_worker);
 
     // Assemble per-job results in arrival order.
     let results = slots.slots.into_inner().expect("slot lock");
@@ -584,50 +566,6 @@ fn simulate(
     result
 }
 
-/// Execute one admitted job on an isolated snapshot and per-job network.
-fn run_one(
-    peers: &PeerMap,
-    job: &BatchJob,
-    idx: usize,
-    cfg: &ServeConfig,
-    telemetry: &Telemetry,
-) -> JobResult {
-    // Copy-on-write snapshot over the frozen serving base: O(#peers)
-    // pointer bumps. `shared_base` records whether sharing actually held
-    // (it is the per-job input to `negotiation.serve.base_clones`).
-    let mut job_peers = peers.clone();
-    let shared_base = job_peers.shares_frozen_bases_with(peers);
-    let mut net = SimNetwork::for_job(cfg.net_seed, idx);
-    let nid = NegotiationId(idx as u64 + 1);
-    let outcome = match &cfg.shared_cache {
-        Some(cache) => negotiate_shared_cached(
-            &mut job_peers,
-            &mut net,
-            cfg.session.clone(),
-            nid,
-            job.requester,
-            job.responder,
-            job.goal.clone(),
-            cache,
-            telemetry,
-        ),
-        None => negotiate_traced(
-            &mut job_peers,
-            &mut net,
-            cfg.session.clone(),
-            nid,
-            job.requester,
-            job.responder,
-            job.goal.clone(),
-            telemetry,
-        ),
-    };
-    JobResult {
-        outcome,
-        shared_base,
-    }
-}
-
 /// A shed job's synthesized outcome: failed, nothing disclosed, one
 /// typed [`RefusalReason::Overload`] refusal from the responder the
 /// request never reached.
@@ -651,17 +589,6 @@ fn shed_outcome(job: &BatchJob) -> NegotiationOutcome {
         rounds: 0,
         elapsed_ticks: 0,
     }
-}
-
-fn yield_worker(
-    tele: Telemetry,
-    collector: Option<Arc<EventCollector>>,
-) -> (MetricsSnapshot, Vec<TraceEvent>) {
-    let snapshot = tele.metrics().map(|m| m.snapshot()).unwrap_or_default();
-    let events = collector
-        .map(|c| std::mem::take(&mut *c.events.lock().expect("collector lock")))
-        .unwrap_or_default();
-    (snapshot, events)
 }
 
 /// Record the `negotiation.serve.*` series (tick-valued, so the exported

@@ -23,7 +23,7 @@
 //! E11: hop-depth budget, per-peer query budgets, and cycle detection on
 //! in-flight query variants.
 
-use crate::answer_cache::{CacheKey, RemoteAnswerCache, SharedRemoteAnswerCache};
+use crate::answer_cache::{CacheKey, SharedRemoteAnswerCache};
 use crate::gem::{GemEdge, GemState};
 use crate::outcome::{
     DisclosedItem, Disclosure, Evidence, NegotiationOutcome, Refusal, RefusalReason,
@@ -102,15 +102,16 @@ impl PeerMap {
     }
 }
 
+/// Maximum nesting of inter-peer queries within one negotiation (the
+/// hop-depth termination guard of experiment E11). A chain of k
+/// interlocked release policies nests ~2k queries (each link: one
+/// delegated goal + one counter-query for its release context); 128
+/// accommodates the deepest experiment sweeps (E3 goes to depth 48).
+pub const MAX_HOP_DEPTH: u32 = 128;
+
 /// Session-level guard configuration.
 #[derive(Clone, Debug)]
 pub struct SessionConfig {
-    /// Maximum nesting of inter-peer queries within one negotiation.
-    pub max_hop_depth: u32,
-    /// If set, only push signed rules whose *own* head context is
-    /// explicitly satisfied for the recipient, instead of licensing the
-    /// whole certified proof by the released answer's context.
-    pub strict_push_release: bool,
     /// Counterfactual overrides used by the failure analysis (paper §6):
     /// `(peer, literal)` pairs for which the peer's release check is
     /// forced to grant. Empty in normal operation.
@@ -144,12 +145,6 @@ pub struct SessionConfig {
 impl Default for SessionConfig {
     fn default() -> Self {
         SessionConfig {
-            // A chain of k interlocked release policies nests ~2k queries
-            // (each link: one delegated goal + one counter-query for its
-            // release context); 128 accommodates the deepest experiment
-            // sweeps (E3 goes to depth 48).
-            max_hop_depth: 128,
-            strict_push_release: false,
             release_overrides: Vec::new(),
             sticky_policies: false,
             cache_remote_answers: true,
@@ -159,229 +154,71 @@ impl Default for SessionConfig {
     }
 }
 
+/// Everything [`negotiate`] can do beyond the plain run. The default is
+/// the plain run: default session guards, no cross-negotiation cache, no
+/// delivery supervision, telemetry off.
+#[derive(Clone, Default)]
+pub struct NegotiateOptions {
+    /// Session guards and feature switches.
+    pub session: SessionConfig,
+    /// Cross-negotiation answer cache (see [`crate::answer_cache`]):
+    /// delegated queries whose public, verified answers an earlier
+    /// negotiation cached are answered without crossing the network.
+    pub cache: Option<SharedRemoteAnswerCache>,
+    /// Delivery supervision over a faulty transport (see
+    /// [`crate::resilience`]): deadlines, retries, duplicate suppression
+    /// and crash-resume. When set, [`negotiate`] also returns a
+    /// [`ResilienceReport`].
+    pub resilience: Option<ResilienceConfig>,
+    /// Telemetry pipeline: the negotiation becomes a `negotiation` span,
+    /// every query/disclosure/refusal an event linked to it by negotiation
+    /// id, and per-peer counters accumulate in the metrics registry.
+    pub telemetry: Telemetry,
+}
+
 /// Run one parsimonious negotiation: `requester` asks `responder` to
-/// establish `goal` (the resource request).
+/// establish `goal` (the resource request). Returns the outcome, plus a
+/// [`ResilienceReport`] iff `opts.resilience` was set.
 pub fn negotiate(
     peers: &mut PeerMap,
     net: &mut SimNetwork,
-    cfg: SessionConfig,
+    opts: &NegotiateOptions,
     nid: NegotiationId,
     requester: PeerId,
     responder: PeerId,
     goal: Literal,
-) -> NegotiationOutcome {
-    negotiate_traced(
-        peers,
-        net,
-        cfg,
-        nid,
-        requester,
-        responder,
-        goal,
-        &Telemetry::disabled(),
-    )
-}
-
-/// [`negotiate`] with a telemetry pipeline: the negotiation becomes a
-/// `negotiation` span, every query/disclosure/refusal an event linked to
-/// it by negotiation id, and per-peer counters accumulate in the metrics
-/// registry. With `Telemetry::disabled()` this is exactly [`negotiate`].
-#[allow(clippy::too_many_arguments)]
-pub fn negotiate_traced(
-    peers: &mut PeerMap,
-    net: &mut SimNetwork,
-    cfg: SessionConfig,
-    nid: NegotiationId,
-    requester: PeerId,
-    responder: PeerId,
-    goal: Literal,
-    telemetry: &Telemetry,
-) -> NegotiationOutcome {
-    negotiate_with_cache(
-        peers,
-        net,
-        cfg,
-        nid,
-        requester,
-        responder,
-        goal,
-        CacheRef::None,
-        None,
-        telemetry,
-    )
-    .0
-}
-
-/// [`negotiate_traced`] backed by a shared cross-negotiation
-/// [`RemoteAnswerCache`]: delegated queries whose (public, verified)
-/// answers were cached by an earlier negotiation are answered locally
-/// instead of crossing the network. See `crate::answer_cache` for the
-/// freshness and soundness rules.
-#[allow(clippy::too_many_arguments)]
-pub fn negotiate_cached(
-    peers: &mut PeerMap,
-    net: &mut SimNetwork,
-    cfg: SessionConfig,
-    nid: NegotiationId,
-    requester: PeerId,
-    responder: PeerId,
-    goal: Literal,
-    cache: &mut RemoteAnswerCache,
-    telemetry: &Telemetry,
-) -> NegotiationOutcome {
-    negotiate_with_cache(
-        peers,
-        net,
-        cfg,
-        nid,
-        requester,
-        responder,
-        goal,
-        CacheRef::Exclusive(cache),
-        None,
-        telemetry,
-    )
-    .0
-}
-
-/// [`negotiate_cached`] against a thread-safe
-/// [`SharedRemoteAnswerCache`]: the same semantics, but the cache can be
-/// shared with sessions running concurrently on other threads (the batch
-/// scheduler's warm-cache mode).
-#[allow(clippy::too_many_arguments)]
-pub fn negotiate_shared_cached(
-    peers: &mut PeerMap,
-    net: &mut SimNetwork,
-    cfg: SessionConfig,
-    nid: NegotiationId,
-    requester: PeerId,
-    responder: PeerId,
-    goal: Literal,
-    cache: &SharedRemoteAnswerCache,
-    telemetry: &Telemetry,
-) -> NegotiationOutcome {
-    negotiate_with_cache(
-        peers,
-        net,
-        cfg,
-        nid,
-        requester,
-        responder,
-        goal,
-        CacheRef::Shared(cache),
-        None,
-        telemetry,
-    )
-    .0
-}
-
-/// How a session reaches the cross-negotiation answer cache: not at all,
-/// through an exclusive borrow (single-threaded `negotiate_cached`), or
-/// through a thread-safe shared handle (`negotiate_shared_cached`). The
-/// enum keeps one `Session` implementation serving both regimes.
-pub(crate) enum CacheRef<'a> {
-    None,
-    Exclusive(&'a mut RemoteAnswerCache),
-    Shared(&'a SharedRemoteAnswerCache),
-}
-
-impl CacheRef<'_> {
-    fn is_attached(&self) -> bool {
-        !matches!(self, CacheRef::None)
-    }
-
-    fn lookup(
-        &mut self,
-        requester: PeerId,
-        responder: PeerId,
-        canonical: &Literal,
-        now: u64,
-        responder_kb_len: usize,
-    ) -> Option<Vec<Literal>> {
-        match self {
-            CacheRef::None => None,
-            CacheRef::Exclusive(c) => {
-                c.lookup(requester, responder, canonical, now, responder_kb_len)
-            }
-            CacheRef::Shared(c) => c.lookup(requester, responder, canonical, now, responder_kb_len),
-        }
-    }
-
-    /// Insert, returning whether a cache was attached (for accounting).
-    #[allow(clippy::too_many_arguments)]
-    fn insert(
-        &mut self,
-        requester: PeerId,
-        responder: PeerId,
-        canonical: Literal,
-        answers: Vec<Literal>,
-        now: u64,
-        responder_kb_len: usize,
-    ) -> bool {
-        match self {
-            CacheRef::None => false,
-            CacheRef::Exclusive(c) => {
-                c.insert(
-                    requester,
-                    responder,
-                    canonical,
-                    answers,
-                    now,
-                    responder_kb_len,
-                );
-                true
-            }
-            CacheRef::Shared(c) => {
-                c.insert(
-                    requester,
-                    responder,
-                    canonical,
-                    answers,
-                    now,
-                    responder_kb_len,
-                );
-                true
-            }
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn negotiate_with_cache(
-    peers: &mut PeerMap,
-    net: &mut SimNetwork,
-    cfg: SessionConfig,
-    nid: NegotiationId,
-    requester: PeerId,
-    responder: PeerId,
-    goal: Literal,
-    answer_cache: CacheRef<'_>,
-    resilience: Option<ResilienceConfig>,
-    telemetry: &Telemetry,
 ) -> (NegotiationOutcome, Option<ResilienceReport>) {
+    let telemetry = &opts.telemetry;
     // The pristine snapshot crash-resume restores from must predate any
     // disclosure of this session.
-    let resilience = resilience.map(|rc| ResilienceState::new(rc, peers.clone()));
+    let resilience = opts
+        .resilience
+        .clone()
+        .map(|rc| ResilienceState::new(rc, peers.clone()));
     let msgs0 = net.stats().messages_sent;
     let bytes0 = net.stats().bytes_sent;
     let queries0 = net.stats().queries;
     let tick0 = net.now();
 
-    let span = telemetry.span_start(
-        tick0,
-        nid.0,
-        "negotiation",
-        vec![
-            Field::str("requester", requester.to_string()),
-            Field::str("responder", responder.to_string()),
-            Field::str("goal", goal.to_string()),
-        ],
-    );
+    let span = if telemetry.enabled() {
+        telemetry.span_start(
+            tick0,
+            nid.0,
+            "negotiation",
+            vec![
+                Field::str("requester", requester.to_string()),
+                Field::str("responder", responder.to_string()),
+                Field::str("goal", goal.to_string()),
+            ],
+        )
+    } else {
+        SpanId::NONE
+    };
 
     let mut session = Session {
         peers,
         net,
-        cfg,
+        cfg: &opts.session,
         nid,
         next_query: 0,
         in_flight: Vec::new(),
@@ -393,9 +230,9 @@ pub(crate) fn negotiate_with_cache(
         received_rules: HashMap::new(),
         received_answers: HashMap::new(),
         session_answers: HashMap::new(),
-        answer_cache,
+        answer_cache: opts.cache.as_ref(),
         resilience,
-        telemetry: telemetry.clone(),
+        telemetry,
         span,
         trace_next: 1,
         trace_stack: Vec::new(),
@@ -505,7 +342,7 @@ enum Release {
 pub(crate) struct Session<'a> {
     pub(crate) peers: &'a mut PeerMap,
     pub(crate) net: &'a mut SimNetwork,
-    cfg: SessionConfig,
+    cfg: &'a SessionConfig,
     nid: NegotiationId,
     next_query: u64,
     /// (responder, canonical goal) pairs currently being requested.
@@ -524,13 +361,13 @@ pub(crate) struct Session<'a> {
     /// (requester, responder, canonical goal). See `crate::answer_cache`.
     session_answers: HashMap<CacheKey, Vec<Literal>>,
     /// Optional shared cross-negotiation cache (public answers only).
-    answer_cache: CacheRef<'a>,
+    answer_cache: Option<&'a SharedRemoteAnswerCache>,
     /// When attached, deliveries are supervised: deadlines, retries with
     /// backoff, duplicate suppression, crash-resume (see
     /// [`crate::resilience`]). `None` leaves the driver byte-identical to
     /// the historical synchronous behavior.
     resilience: Option<ResilienceState>,
-    telemetry: Telemetry,
+    telemetry: &'a Telemetry,
     /// The enclosing `negotiation` span (NONE when telemetry is off).
     span: SpanId,
     /// Next causal span id, local to this negotiation (the trace id is
@@ -641,7 +478,8 @@ impl<'a> Session<'a> {
 
     /// Open a causal span: emit `trace.start` and make it the parent for
     /// nested spans and message sends until the matching [`Session::trace_pop`].
-    fn trace_push(&mut self, name: &str, peer: PeerId, kind: &str) -> u64 {
+    /// The name is only formatted when telemetry is on.
+    fn trace_push(&mut self, name: impl std::fmt::Display, peer: PeerId, kind: &str) -> u64 {
         if !self.telemetry.enabled() {
             return 0;
         }
@@ -656,7 +494,7 @@ impl<'a> Session<'a> {
                 Field::u64("trace", self.nid.0),
                 Field::u64("span", id),
                 Field::u64("parent", parent),
-                Field::str("name", name),
+                Field::str("name", name.to_string()),
                 Field::str("peer", peer.to_string()),
                 Field::str("kind", kind),
             ],
@@ -904,7 +742,7 @@ impl<'a> Session<'a> {
             // (the shift is clamped: the cap takes over long before it
             // could overflow).
             let backoff = (cfg.backoff_base << (attempts - 1).min(16)).min(cfg.backoff_cap);
-            let bspan = self.trace_push(&format!("backoff {kind}"), sender, "backoff");
+            let bspan = self.trace_push(format_args!("backoff {kind}"), sender, "backoff");
             let b0 = self.net.now();
             self.net.advance_to((now + backoff).min(deadline));
             self.backoff_ticks += self.net.now().saturating_sub(b0);
@@ -963,7 +801,7 @@ impl<'a> Session<'a> {
         depth: u32,
     ) -> Vec<Literal> {
         self.max_depth_seen = self.max_depth_seen.max(depth);
-        if depth > self.cfg.max_hop_depth {
+        if depth > MAX_HOP_DEPTH {
             self.record_refusal(Refusal {
                 peer: to,
                 requester: from,
@@ -1005,13 +843,10 @@ impl<'a> Session<'a> {
                 return hit.clone();
             }
         }
-        if self.answer_cache.is_attached() {
+        if let Some(cache) = self.answer_cache {
             let kb_len = self.peers.get(to).map(|p| p.kb.len()).unwrap_or(0);
             let now = self.net.now();
-            if let Some(hit) = self
-                .answer_cache
-                .lookup(from, to, &cache_key.2, now, kb_len)
-            {
+            if let Some(hit) = cache.lookup(from, to, &cache_key.2, now, kb_len) {
                 if self.telemetry.enabled() {
                     self.telemetry.incr("negotiation.cache.cross_hits", 1);
                 }
@@ -1019,7 +854,7 @@ impl<'a> Session<'a> {
             }
         }
         if self.telemetry.enabled()
-            && (self.cfg.cache_remote_answers || self.answer_cache.is_attached())
+            && (self.cfg.cache_remote_answers || self.answer_cache.is_some())
         {
             self.telemetry.incr("negotiation.cache.misses", 1);
         }
@@ -1027,7 +862,7 @@ impl<'a> Session<'a> {
         // A cache miss means real work: open a causal span covering the
         // query round-trip (and everything nested under it — the
         // responder's solve, counter-queries, pushes, answers).
-        let tspan = self.trace_push(&format!("request {goal}"), to, "request");
+        let tspan = self.trace_push(format_args!("request {goal}"), to, "request");
         let out = self.request_inner(from, to, goal, depth, key, cache_key);
         self.trace_pop(tspan);
         out
@@ -1315,18 +1150,11 @@ impl<'a> Session<'a> {
             // Cross-negotiation entries must be replayable outside this
             // exchange: every answer publicly released and none dropped by
             // verification. Context-guarded answers never cross sessions.
-            if all_public && !any_dropped {
+            if let Some(cache) = self.answer_cache.filter(|_| all_public && !any_dropped) {
                 let kb_len = self.peers.get(to).map(|p| p.kb.len()).unwrap_or(0);
                 let now = self.net.now();
-                let inserted = self.answer_cache.insert(
-                    from,
-                    to,
-                    cache_key.2,
-                    accepted_answers.clone(),
-                    now,
-                    kb_len,
-                );
-                if inserted && self.telemetry.enabled() {
+                cache.insert(from, to, cache_key.2, accepted_answers.clone(), now, kb_len);
+                if self.telemetry.enabled() {
                     self.telemetry.incr("negotiation.cache.inserts", 1);
                 }
             }
@@ -1367,7 +1195,7 @@ impl<'a> Session<'a> {
         if is_new && self.telemetry.enabled() {
             self.telemetry.incr("negotiation.gem.loops", 1);
         }
-        let span = self.trace_push(&format!("gem loop {goal}"), to, "gem");
+        let span = self.trace_push(format_args!("gem loop {goal}"), to, "gem");
 
         let qid = QueryId(self.next_query);
         self.next_query += 1;
@@ -1449,7 +1277,7 @@ impl<'a> Session<'a> {
         Vec<(SignedRule, Context, Vec<Evidence>, Context)>,
     )> {
         self.gem.scc_index_by_anchor(key)?;
-        let span = self.trace_push(&format!("gem fixpoint {goal}"), to, "gem");
+        let span = self.trace_push(format_args!("gem fixpoint {goal}"), to, "gem");
         loop {
             // Re-locate each round: a re-evaluation can close an outer
             // loop and merge the component outward, moving the anchor.
@@ -1470,7 +1298,7 @@ impl<'a> Session<'a> {
             self.telemetry.incr("negotiation.gem.rounds", 1);
             let edges = self.gem.scc_at(idx).round_order();
             let edges_before = self.gem.scc_at(idx).edges.len();
-            let rspan = self.trace_push(&format!("gem round {round}"), to, "gem");
+            let rspan = self.trace_push(format_args!("gem round {round}"), to, "gem");
             let mut changed = false;
             for e in &edges {
                 // The anchor frame stays pinned on the stack so
@@ -1588,7 +1416,6 @@ impl<'a> Session<'a> {
 
         let kb = peer.kb.clone();
         let engine_cfg = peer.config.engine;
-        let strict_push = self.cfg.strict_push_release;
 
         let solutions = {
             let telemetry = self.telemetry.clone();
@@ -1622,8 +1449,7 @@ impl<'a> Session<'a> {
                     raw_context,
                     evidence,
                 } => {
-                    // The certified proof: push every signed rule it uses
-                    // (subject to strict mode).
+                    // The certified proof: push every signed rule it uses.
                     let peer = self.peers.get(responder).expect("responder exists");
                     for rid in proof.used_rules() {
                         if let Some(sr) = peer.signed_rule(rid) {
@@ -1636,13 +1462,6 @@ impl<'a> Session<'a> {
                                 st.origin == peertrust_core::kb::RuleOrigin::Received(requester)
                             }) {
                                 continue;
-                            }
-                            if strict_push {
-                                let rule = &peer.kb.get(rid).expect("rule exists").rule;
-                                let ctx = rule.effective_head_context();
-                                if ctx.is_default_private() && requester != responder {
-                                    continue;
-                                }
                             }
                             pushes.push((
                                 sr.clone(),
@@ -1960,6 +1779,7 @@ pub(crate) fn classify_evidence(
 mod tests {
     use super::*;
     use crate::outcome::verify_safe_sequence;
+    use crate::strategy::Strategy;
     use peertrust_crypto::KeyRegistry;
     use peertrust_parser::parse_literal;
 
@@ -1989,10 +1809,9 @@ mod tests {
         goal: &str,
     ) -> NegotiationOutcome {
         let mut net = SimNetwork::new(7);
-        negotiate(
+        Strategy::Parsimonious.run(
             peers,
             &mut net,
-            SessionConfig::default(),
             NegotiationId(1),
             PeerId::new(requester),
             PeerId::new(responder),
@@ -2392,20 +2211,23 @@ mod tests {
     fn mutual_recursion_converges_with_gem() {
         let mut peers = mutual_recursion_peers();
         let mut net = SimNetwork::new(7);
-        let cfg = SessionConfig {
-            gem: true,
-            ..SessionConfig::default()
-        };
         let (telemetry, _ring) = Telemetry::ring(4096);
-        let out = negotiate_traced(
+        let opts = NegotiateOptions {
+            session: SessionConfig {
+                gem: true,
+                ..SessionConfig::default()
+            },
+            telemetry: telemetry.clone(),
+            ..NegotiateOptions::default()
+        };
+        let (out, _) = negotiate(
             &mut peers,
             &mut net,
-            cfg,
+            &opts,
             NegotiationId(1),
             PeerId::new("B"),
             PeerId::new("A"),
             parse_literal(r#"r(4) @ "A""#).unwrap(),
-            &telemetry,
         );
         assert!(out.success, "refusals: {:?}", out.refusals);
         assert_eq!(
@@ -2432,15 +2254,18 @@ mod tests {
         let mut peers = mutual_recursion_peers();
         let mut net = SimNetwork::new(7);
         let (telemetry, _ring) = Telemetry::ring(4096);
-        let out = negotiate_traced(
+        let opts = NegotiateOptions {
+            telemetry: telemetry.clone(),
+            ..NegotiateOptions::default()
+        };
+        let (out, _) = negotiate(
             &mut peers,
             &mut net,
-            SessionConfig::default(),
+            &opts,
             NegotiationId(1),
             PeerId::new("B"),
             PeerId::new("A"),
             parse_literal(r#"r(4) @ "A""#).unwrap(),
-            &telemetry,
         );
         assert!(!out.success);
         let m = telemetry.metrics().expect("telemetry enabled");
@@ -2461,18 +2286,20 @@ mod tests {
         // negotiation cache — a later negotiation that could succeed
         // (e.g. with GEM on) must not be fed the cached refusal.
         let mut peers = mutual_recursion_peers();
-        let mut cache = RemoteAnswerCache::default();
+        let cache = SharedRemoteAnswerCache::new();
         let mut net = SimNetwork::new(7);
-        let out = negotiate_cached(
+        let opts = NegotiateOptions {
+            cache: Some(cache.clone()),
+            ..NegotiateOptions::default()
+        };
+        let (out, _) = negotiate(
             &mut peers,
             &mut net,
-            SessionConfig::default(),
+            &opts,
             NegotiationId(1),
             PeerId::new("B"),
             PeerId::new("A"),
             parse_literal(r#"r(4) @ "A""#).unwrap(),
-            &mut cache,
-            &Telemetry::disabled(),
         );
         assert!(!out.success);
         let kb_len = peers.get(PeerId::new("A")).unwrap().kb.len();
@@ -2497,23 +2324,24 @@ mod tests {
         // answer — i.e. no partial (mid-fixpoint) set was cached by the
         // first.
         let mut peers = mutual_recursion_peers();
-        let mut cache = RemoteAnswerCache::default();
-        let cfg = SessionConfig {
-            gem: true,
-            ..SessionConfig::default()
+        let opts = NegotiateOptions {
+            session: SessionConfig {
+                gem: true,
+                ..SessionConfig::default()
+            },
+            cache: Some(SharedRemoteAnswerCache::new()),
+            ..NegotiateOptions::default()
         };
         for nid in 1..=2u64 {
             let mut net = SimNetwork::new(7);
-            let out = negotiate_cached(
+            let (out, _) = negotiate(
                 &mut peers,
                 &mut net,
-                cfg.clone(),
+                &opts,
                 NegotiationId(nid),
                 PeerId::new("B"),
                 PeerId::new("A"),
                 parse_literal(r#"r(4) @ "A""#).unwrap(),
-                &mut cache,
-                &Telemetry::disabled(),
             );
             assert!(out.success, "negotiation {nid} failed: {:?}", out.refusals);
             assert_eq!(out.granted[0], parse_literal(r#"r(4) @ "A""#).unwrap());
@@ -2528,19 +2356,23 @@ mod tests {
         let run_with = |gem: bool| {
             let mut peers = bilateral_peers();
             let mut net = SimNetwork::new(7);
-            let cfg = SessionConfig {
-                gem,
-                ..SessionConfig::default()
+            let opts = NegotiateOptions {
+                session: SessionConfig {
+                    gem,
+                    ..SessionConfig::default()
+                },
+                ..NegotiateOptions::default()
             };
             negotiate(
                 &mut peers,
                 &mut net,
-                cfg,
+                &opts,
                 NegotiationId(1),
                 PeerId::new("Alice"),
                 PeerId::new("E-Learn"),
                 parse_literal(r#"resource("Alice")"#).unwrap(),
             )
+            .0
         };
         let off = run_with(false);
         let on = run_with(true);

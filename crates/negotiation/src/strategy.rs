@@ -10,10 +10,10 @@
 
 use crate::eager::{negotiate_eager, EagerConfig};
 use crate::outcome::NegotiationOutcome;
-use crate::session::{negotiate, negotiate_traced, record_outcome, PeerMap, SessionConfig};
+use crate::session::{negotiate, record_outcome, NegotiateOptions, PeerMap};
 use peertrust_core::{Literal, PeerId};
 use peertrust_net::{NegotiationId, SimNetwork};
-use peertrust_telemetry::{Field, Telemetry};
+use peertrust_telemetry::{Field, SpanId, Telemetry};
 
 /// Which negotiation strategy drives the disclosure process.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -46,26 +46,15 @@ impl Strategy {
         responder: PeerId,
         goal: Literal,
     ) -> NegotiationOutcome {
-        match self {
-            Strategy::Parsimonious => negotiate(
-                peers,
-                net,
-                SessionConfig::default(),
-                nid,
-                requester,
-                responder,
-                goal,
-            ),
-            Strategy::Eager => negotiate_eager(
-                peers,
-                net,
-                EagerConfig::default(),
-                nid,
-                requester,
-                responder,
-                goal,
-            ),
-        }
+        self.run_traced(
+            peers,
+            net,
+            nid,
+            requester,
+            responder,
+            goal,
+            &Telemetry::disabled(),
+        )
     }
 
     /// [`Strategy::run`] with a telemetry pipeline. The parsimonious
@@ -84,28 +73,29 @@ impl Strategy {
         telemetry: &Telemetry,
     ) -> NegotiationOutcome {
         match self {
-            Strategy::Parsimonious => negotiate_traced(
-                peers,
-                net,
-                SessionConfig::default(),
-                nid,
-                requester,
-                responder,
-                goal,
-                telemetry,
-            ),
+            Strategy::Parsimonious => {
+                let opts = NegotiateOptions {
+                    telemetry: telemetry.clone(),
+                    ..NegotiateOptions::default()
+                };
+                negotiate(peers, net, &opts, nid, requester, responder, goal).0
+            }
             Strategy::Eager => {
-                let span = telemetry.span_start(
-                    net.now(),
-                    nid.0,
-                    "negotiation",
-                    vec![
-                        Field::str("strategy", "eager"),
-                        Field::str("requester", requester.to_string()),
-                        Field::str("responder", responder.to_string()),
-                        Field::str("goal", goal.to_string()),
-                    ],
-                );
+                let span = if telemetry.enabled() {
+                    telemetry.span_start(
+                        net.now(),
+                        nid.0,
+                        "negotiation",
+                        vec![
+                            Field::str("strategy", "eager"),
+                            Field::str("requester", requester.to_string()),
+                            Field::str("responder", responder.to_string()),
+                            Field::str("goal", goal.to_string()),
+                        ],
+                    )
+                } else {
+                    SpanId::NONE
+                };
                 let outcome = negotiate_eager(
                     peers,
                     net,

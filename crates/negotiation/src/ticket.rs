@@ -156,7 +156,8 @@ fn resource_term(resource: &Literal) -> Term {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::{negotiate, PeerMap, SessionConfig};
+    use crate::session::PeerMap;
+    use crate::strategy::Strategy;
     use peertrust_crypto::KeyRegistry;
     use peertrust_net::{NegotiationId, SimNetwork};
     use peertrust_parser::parse_literal;
@@ -184,10 +185,9 @@ mod tests {
         peers.insert(alice);
 
         let mut net = SimNetwork::new(21);
-        let outcome = negotiate(
+        let outcome = Strategy::Parsimonious.run(
             &mut peers,
             &mut net,
-            SessionConfig::default(),
             NegotiationId(1),
             PeerId::new("Alice"),
             PeerId::new("Server"),
@@ -292,10 +292,9 @@ mod tests {
         };
         // Renegotiation costs messages every time...
         let mut net = SimNetwork::new(22);
-        let again = negotiate(
+        let again = Strategy::Parsimonious.run(
             &mut peers,
             &mut net,
-            SessionConfig::default(),
             NegotiationId(2),
             PeerId::new("Alice"),
             PeerId::new("Server"),

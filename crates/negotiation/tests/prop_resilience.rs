@@ -21,8 +21,8 @@
 use peertrust_core::PeerId;
 use peertrust_crypto::KeyRegistry;
 use peertrust_negotiation::{
-    negotiate_resilient, negotiate_traced, NegotiationOutcome, NegotiationPeer, PeerMap,
-    ResilienceConfig, SessionConfig,
+    negotiate, NegotiateOptions, NegotiationOutcome, NegotiationPeer, PeerMap, ResilienceConfig,
+    ResilienceReport,
 };
 use peertrust_net::{FaultPlan, LatencyModel, LinkFaults, NegotiationId, SimNetwork, Topology};
 use peertrust_parser::parse_literal;
@@ -68,42 +68,50 @@ fn network(seed: u64) -> SimNetwork {
     )
 }
 
+/// Alice asks E-Learn for `resource("Alice")` on fresh bilateral peers.
+fn run(
+    net: &mut SimNetwork,
+    opts: &NegotiateOptions,
+) -> (NegotiationOutcome, Option<ResilienceReport>) {
+    negotiate(
+        &mut bilateral_peers(),
+        net,
+        opts,
+        NegotiationId(1),
+        PeerId::new("Alice"),
+        PeerId::new("E-Learn"),
+        parse_literal(r#"resource("Alice")"#).unwrap(),
+    )
+}
+
+/// [`run`] supervised by the resilience layer under `budget`.
+fn resilient(
+    net: &mut SimNetwork,
+    budget: ResilienceConfig,
+) -> (NegotiationOutcome, ResilienceReport) {
+    let opts = NegotiateOptions {
+        resilience: Some(budget),
+        ..NegotiateOptions::default()
+    };
+    let (out, report) = run(net, &opts);
+    (out, report.expect("resilience requested"))
+}
+
 /// One full run; returns every observable surface as strings.
 /// `lane`: attach a fault lane with this plan. `resilient`: drive through
 /// the resilience layer instead of the plain driver.
 fn observe(seed: u64, lane: Option<FaultPlan>, resilient: bool) -> (String, String, String, u64) {
-    let mut peers = bilateral_peers();
     let mut net = network(seed);
     if let Some(plan) = lane {
         net = net.with_faults(plan);
     }
     let (tele, ring) = Telemetry::ring(8192);
-    let goal = parse_literal(r#"resource("Alice")"#).unwrap();
-    let outcome = if resilient {
-        negotiate_resilient(
-            &mut peers,
-            &mut net,
-            SessionConfig::default(),
-            ResilienceConfig::default(),
-            NegotiationId(1),
-            PeerId::new("Alice"),
-            PeerId::new("E-Learn"),
-            goal,
-            &tele,
-        )
-        .0
-    } else {
-        negotiate_traced(
-            &mut peers,
-            &mut net,
-            SessionConfig::default(),
-            NegotiationId(1),
-            PeerId::new("Alice"),
-            PeerId::new("E-Learn"),
-            goal,
-            &tele,
-        )
+    let opts = NegotiateOptions {
+        resilience: resilient.then(ResilienceConfig::default),
+        telemetry: tele.clone(),
+        ..NegotiateOptions::default()
     };
+    let (outcome, _) = run(&mut net, &opts);
     let metrics = tele
         .metrics()
         .expect("ring telemetry has metrics")
@@ -121,18 +129,7 @@ fn observe(seed: u64, lane: Option<FaultPlan>, resilient: bool) -> (String, Stri
 }
 
 fn fault_free(seed: u64) -> NegotiationOutcome {
-    let mut peers = bilateral_peers();
-    let mut net = network(seed);
-    negotiate_traced(
-        &mut peers,
-        &mut net,
-        SessionConfig::default(),
-        NegotiationId(1),
-        PeerId::new("Alice"),
-        PeerId::new("E-Learn"),
-        parse_literal(r#"resource("Alice")"#).unwrap(),
-        &Telemetry::disabled(),
-    )
+    run(&mut network(seed), &NegotiateOptions::default()).0
 }
 
 /// Faults bounded by the E15 convergence bar: drop ≤ 20%, plus
@@ -188,19 +185,8 @@ proptest! {
         link in arb_bounded_faults(),
     ) {
         let clean = fault_free(net_seed);
-        let mut peers = bilateral_peers();
         let mut net = network(net_seed).with_faults(FaultPlan::uniform(fault_seed, link));
-        let (out, report) = negotiate_resilient(
-            &mut peers,
-            &mut net,
-            SessionConfig::default(),
-            generous_budget(),
-            NegotiationId(1),
-            PeerId::new("Alice"),
-            PeerId::new("E-Learn"),
-            parse_literal(r#"resource("Alice")"#).unwrap(),
-            &Telemetry::disabled(),
-        );
+        let (out, report) = resilient(&mut net, generous_budget());
         prop_assert!(report.converged, "failures: {:?}", report.failures);
         prop_assert_eq!(out.success, clean.success);
         prop_assert_eq!(out.granted, clean.granted);
@@ -220,19 +206,8 @@ proptest! {
         let clean = fault_free(net_seed);
         let victim = if crash_responder { "E-Learn" } else { "Alice" };
         let plan = FaultPlan::none().with_crash(PeerId::new(victim), from, from + len);
-        let mut peers = bilateral_peers();
         let mut net = network(net_seed).with_faults(plan);
-        let (out, report) = negotiate_resilient(
-            &mut peers,
-            &mut net,
-            SessionConfig::default(),
-            generous_budget(),
-            NegotiationId(1),
-            PeerId::new("Alice"),
-            PeerId::new("E-Learn"),
-            parse_literal(r#"resource("Alice")"#).unwrap(),
-            &Telemetry::disabled(),
-        );
+        let (out, report) = resilient(&mut net, generous_budget());
         prop_assert!(report.converged, "failures: {:?}", report.failures);
         prop_assert_eq!(out.success, clean.success);
         prop_assert_eq!(out.granted, clean.granted);
@@ -242,19 +217,8 @@ proptest! {
     /// failure reasons and an unsuccessful outcome — never a hang.
     #[test]
     fn unrecoverable_loss_terminates_with_reasons(seed in any::<u64>()) {
-        let mut peers = bilateral_peers();
         let mut net = network(seed).with_faults(FaultPlan::uniform(seed, LinkFaults::drops(1.0)));
-        let (out, report) = negotiate_resilient(
-            &mut peers,
-            &mut net,
-            SessionConfig::default(),
-            ResilienceConfig::default(),
-            NegotiationId(1),
-            PeerId::new("Alice"),
-            PeerId::new("E-Learn"),
-            parse_literal(r#"resource("Alice")"#).unwrap(),
-            &Telemetry::disabled(),
-        );
+        let (out, report) = resilient(&mut net, ResilienceConfig::default());
         prop_assert!(!out.success);
         prop_assert!(!report.converged);
         prop_assert!(!report.failures.is_empty());

@@ -16,8 +16,8 @@
 use peertrust_core::PeerId;
 use peertrust_crypto::KeyRegistry;
 use peertrust_negotiation::{
-    negotiate_batch, negotiate_resilient, negotiate_traced, BatchConfig, BatchFaults, BatchJob,
-    NegotiationOutcome, NegotiationPeer, PeerMap, ResilienceConfig, SessionConfig,
+    negotiate, negotiate_batch, BatchConfig, BatchFaults, BatchJob, NegotiateOptions,
+    NegotiationOutcome, NegotiationPeer, PeerMap, ResilienceConfig,
 };
 use peertrust_net::{FaultPlan, LatencyModel, LinkFaults, NegotiationId, SimNetwork, Topology};
 use peertrust_parser::parse_literal;
@@ -66,43 +66,29 @@ fn network(seed: u64) -> SimNetwork {
 
 /// One instrumented run; returns the recorded event stream and outcome.
 fn observe(seed: u64, plan: Option<FaultPlan>) -> (Vec<TraceEvent>, NegotiationOutcome) {
-    let mut peers = bilateral_peers();
     let mut net = network(seed);
-    let resilient = plan.is_some();
+    let (tele, ring) = Telemetry::ring(65536);
+    let opts = NegotiateOptions {
+        resilience: plan.is_some().then(|| ResilienceConfig {
+            max_retries: 8,
+            query_deadline_ticks: 256,
+            ..ResilienceConfig::default()
+        }),
+        telemetry: tele,
+        ..NegotiateOptions::default()
+    };
     if let Some(plan) = plan {
         net = net.with_faults(plan);
     }
-    let (tele, ring) = Telemetry::ring(65536);
-    let goal = parse_literal(r#"resource("Alice")"#).unwrap();
-    let outcome = if resilient {
-        negotiate_resilient(
-            &mut peers,
-            &mut net,
-            SessionConfig::default(),
-            ResilienceConfig {
-                max_retries: 8,
-                query_deadline_ticks: 256,
-                ..ResilienceConfig::default()
-            },
-            NegotiationId(1),
-            PeerId::new("Alice"),
-            PeerId::new("E-Learn"),
-            goal,
-            &tele,
-        )
-        .0
-    } else {
-        negotiate_traced(
-            &mut peers,
-            &mut net,
-            SessionConfig::default(),
-            NegotiationId(1),
-            PeerId::new("Alice"),
-            PeerId::new("E-Learn"),
-            goal,
-            &tele,
-        )
-    };
+    let (outcome, _) = negotiate(
+        &mut bilateral_peers(),
+        &mut net,
+        &opts,
+        NegotiationId(1),
+        PeerId::new("Alice"),
+        PeerId::new("E-Learn"),
+        parse_literal(r#"resource("Alice")"#).unwrap(),
+    );
     (ring.events(), outcome)
 }
 

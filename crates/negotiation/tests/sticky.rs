@@ -6,7 +6,9 @@
 
 use peertrust_core::PeerId;
 use peertrust_crypto::KeyRegistry;
-use peertrust_negotiation::{negotiate, DisclosedItem, NegotiationPeer, PeerMap, SessionConfig};
+use peertrust_negotiation::{
+    negotiate, DisclosedItem, NegotiateOptions, NegotiationPeer, PeerMap, SessionConfig,
+};
 use peertrust_net::{NegotiationId, SimNetwork};
 use peertrust_parser::parse_literal;
 
@@ -60,19 +62,23 @@ fn relay_peers(origin_release_ctx: &str) -> PeerMap {
 
 fn run(peers: &mut PeerMap, sticky: bool) -> peertrust_negotiation::NegotiationOutcome {
     let mut net = SimNetwork::new(9);
-    let cfg = SessionConfig {
-        sticky_policies: sticky,
-        ..SessionConfig::default()
+    let opts = NegotiateOptions {
+        session: SessionConfig {
+            sticky_policies: sticky,
+            ..SessionConfig::default()
+        },
+        ..NegotiateOptions::default()
     };
     negotiate(
         peers,
         &mut net,
-        cfg,
+        &opts,
         NegotiationId(1),
         PeerId::new("Client"),
         PeerId::new("Verifier"),
         parse_literal(r#"resource("Client")"#).unwrap(),
     )
+    .0
 }
 
 #[test]

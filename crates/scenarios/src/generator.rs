@@ -841,6 +841,41 @@ mod tests {
     }
 
     #[test]
+    fn warm_cache_batch_under_faults_reaches_the_clean_results() {
+        use peertrust_negotiation::{
+            negotiate_batch, BatchConfig, BatchFaults, ResilienceConfig, SharedRemoteAnswerCache,
+        };
+        use peertrust_net::{FaultPlan, LinkFaults};
+        let w = throughput_grid(4, 3, 3);
+        let tele = peertrust_telemetry::Telemetry::disabled();
+        let clean = negotiate_batch(&w.peers, &w.jobs, &BatchConfig::default(), &tele);
+        for workers in [1, 2, 4] {
+            let cfg = BatchConfig {
+                workers,
+                shared_cache: Some(SharedRemoteAnswerCache::new()),
+                faults: Some(BatchFaults {
+                    plan: FaultPlan::uniform(23, LinkFaults::drops(0.2)),
+                    resilience: ResilienceConfig {
+                        max_retries: 8,
+                        query_deadline_ticks: 256,
+                        ..ResilienceConfig::default()
+                    },
+                }),
+                ..BatchConfig::default()
+            };
+            let report = negotiate_batch(&w.peers, &w.jobs, &cfg, &tele);
+            assert_eq!(report.stats.jobs, 12);
+            assert_eq!(report.stats.converged, 12, "{workers} workers");
+            assert!(report.stats.resilience.retries > 0, "drops force retries");
+            assert!(report.stats.cache.hits > 0, "repeats hit the shared cache");
+            for (faulty, clean) in report.outcomes.iter().zip(&clean.outcomes) {
+                assert_eq!(faulty.success, clean.success, "{workers} workers");
+                assert_eq!(faulty.granted, clean.granted, "{workers} workers");
+            }
+        }
+    }
+
+    #[test]
     fn serving_workload_is_deterministic_and_zipf_skewed() {
         let key = |w: &ServingWorkload| {
             w.jobs
@@ -938,21 +973,23 @@ mod tests {
 
     #[test]
     fn delegation_mesh_needs_gem_beyond_one_lap() {
-        use peertrust_negotiation::{negotiate, RefusalReason, SessionConfig};
-        let gem_cfg = SessionConfig {
-            gem: true,
-            gem_max_rounds: 32,
-            ..SessionConfig::default()
+        use peertrust_negotiation::{negotiate, NegotiateOptions, RefusalReason, SessionConfig};
+        let gem_opts = NegotiateOptions {
+            session: SessionConfig {
+                gem: true,
+                gem_max_rounds: 32,
+                ..SessionConfig::default()
+            },
+            ..NegotiateOptions::default()
         };
         for (n, laps, chords) in [(2, 2, false), (3, 2, false), (4, 2, true)] {
             // Classical driver: one lap of unrolling, then CycleDetected.
             let mut w = delegation_mesh(n, laps, chords);
             let mut net = SimNetwork::new(5);
             let initiator = w.peer_ids[1];
-            let out = negotiate(
+            let out = Strategy::Parsimonious.run(
                 &mut w.peers,
                 &mut net,
-                SessionConfig::default(),
                 NegotiationId(1),
                 initiator,
                 w.responder,
@@ -967,10 +1004,10 @@ mod tests {
             // GEM: the fixpoint pumps instances around the ring.
             let mut w = delegation_mesh(n, laps, chords);
             let mut net = SimNetwork::new(5);
-            let out = negotiate(
+            let (out, _) = negotiate(
                 &mut w.peers,
                 &mut net,
-                gem_cfg.clone(),
+                &gem_opts,
                 NegotiationId(1),
                 initiator,
                 w.responder,
@@ -1013,10 +1050,9 @@ mod tests {
         let (mut peers, _reg, goals) = fleet(4);
         let mut net = SimNetwork::new(99);
         for (i, (client, goal)) in goals.iter().enumerate() {
-            let out = peertrust_negotiation::negotiate(
+            let out = Strategy::Parsimonious.run(
                 &mut peers,
                 &mut net,
-                peertrust_negotiation::SessionConfig::default(),
                 NegotiationId(i as u64),
                 *client,
                 PeerId::new(SERVER),

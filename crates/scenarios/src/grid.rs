@@ -133,10 +133,9 @@ mod tests {
         // A stranger asking the home peer directly is refused.
         let mut s = GridScenario::build();
         let mut net = SimNetwork::new(1);
-        let out = peertrust_negotiation::negotiate(
+        let out = Strategy::Parsimonious.run(
             &mut s.peers,
             &mut net,
-            peertrust_negotiation::SessionConfig::default(),
             NegotiationId(10),
             PeerId::new(VERIFIER),
             PeerId::new(HOME),

@@ -6,8 +6,8 @@
 use peertrust_core::{Literal, PeerId, Term};
 use peertrust_crypto::KeyRegistry;
 use peertrust_negotiation::{
-    negotiate, negotiate_cached, negotiate_traced, NegotiationPeer, PeerMap, RemoteAnswerCache,
-    SessionConfig, Strategy,
+    negotiate, NegotiateOptions, NegotiationPeer, PeerMap, SessionConfig, SharedRemoteAnswerCache,
+    Strategy,
 };
 use peertrust_net::{NegotiationId, SimNetwork};
 use peertrust_scenarios::{delegation_chain, Scenario1};
@@ -82,18 +82,22 @@ fn run_repeated_subgoals(cache_remote_answers: bool) -> (u64, u64) {
     let (telemetry, _ring) = Telemetry::ring(65536);
     let mut peers = repeated_subgoal_setup();
     let mut net = SimNetwork::new(7).with_telemetry(telemetry.clone());
-    let out = negotiate_traced(
-        &mut peers,
-        &mut net,
-        SessionConfig {
+    let opts = NegotiateOptions {
+        session: SessionConfig {
             cache_remote_answers,
             ..SessionConfig::default()
         },
+        telemetry: telemetry.clone(),
+        ..NegotiateOptions::default()
+    };
+    let (out, _) = negotiate(
+        &mut peers,
+        &mut net,
+        &opts,
         NegotiationId(1),
         PeerId::new("Client"),
         PeerId::new("Server"),
         Literal::new("resource", vec![Term::str("Client")]),
-        &telemetry,
     );
     assert!(out.success, "refusals: {:#?}", out.refusals);
     let m = telemetry.metrics().expect("telemetry enabled");
@@ -123,15 +127,13 @@ fn session_cache_dedups_repeated_queries_in_one_negotiation() {
 #[test]
 fn cross_negotiation_cache_cuts_warm_repeat_messages() {
     let depth = 4;
-    let telemetry = Telemetry::disabled();
 
     // Baseline: warm repeat on the same peers, no cross cache.
     let mut base = delegation_chain(depth);
     let mut net = SimNetwork::new(1);
-    let cold = negotiate(
+    let cold = Strategy::Parsimonious.run(
         &mut base.peers,
         &mut net,
-        SessionConfig::default(),
         NegotiationId(1),
         base.requester,
         base.responder,
@@ -139,10 +141,9 @@ fn cross_negotiation_cache_cuts_warm_repeat_messages() {
     );
     assert!(cold.success);
     let mut net = SimNetwork::new(2);
-    let warm_uncached = negotiate(
+    let warm_uncached = Strategy::Parsimonious.run(
         &mut base.peers,
         &mut net,
-        SessionConfig::default(),
         NegotiationId(2),
         base.requester,
         base.responder,
@@ -152,33 +153,33 @@ fn cross_negotiation_cache_cuts_warm_repeat_messages() {
 
     // Same repeat through a shared remote-answer cache.
     let mut w = delegation_chain(depth);
-    let mut cache = RemoteAnswerCache::new();
+    let cache = SharedRemoteAnswerCache::new();
+    let opts = NegotiateOptions {
+        cache: Some(cache.clone()),
+        ..NegotiateOptions::default()
+    };
     let mut net = SimNetwork::new(1);
-    let cold_cached = negotiate_cached(
+    let (cold_cached, _) = negotiate(
         &mut w.peers,
         &mut net,
-        SessionConfig::default(),
+        &opts,
         NegotiationId(1),
         w.requester,
         w.responder,
         w.goal.clone(),
-        &mut cache,
-        &telemetry,
     );
     assert!(cold_cached.success);
     assert!(cache.stats().inserts >= 1, "public answers must be cached");
 
     let mut net = SimNetwork::new(2);
-    let warm_cached = negotiate_cached(
+    let (warm_cached, _) = negotiate(
         &mut w.peers,
         &mut net,
-        SessionConfig::default(),
+        &opts,
         NegotiationId(2),
         w.requester,
         w.responder,
         w.goal.clone(),
-        &mut cache,
-        &telemetry,
     );
     assert!(warm_cached.success);
     assert!(cache.stats().hits >= 1, "warm repeat must hit the cache");

@@ -15,19 +15,22 @@
 
 use peertrust_core::PeerId;
 use peertrust_negotiation::{
-    negotiate, negotiate_resilient, negotiate_traced, NegotiationOutcome, PeerMap, RefusalReason,
-    ResilienceConfig, SessionConfig,
+    negotiate, NegotiateOptions, NegotiationOutcome, PeerMap, RefusalReason, ResilienceConfig,
+    SessionConfig,
 };
 use peertrust_net::{FaultPlan, LatencyModel, LinkFaults, NegotiationId, SimNetwork, Topology};
 use peertrust_scenarios::{chain, delegation_mesh, random_policies, RandomPolicyConfig};
 use peertrust_telemetry::{Telemetry, Timeline};
 use proptest::prelude::*;
 
-fn gem_config(gem: bool) -> SessionConfig {
-    SessionConfig {
-        gem,
-        gem_max_rounds: 32,
-        ..SessionConfig::default()
+fn gem_options(gem: bool) -> NegotiateOptions {
+    NegotiateOptions {
+        session: SessionConfig {
+            gem,
+            gem_max_rounds: 32,
+            ..SessionConfig::default()
+        },
+        ..NegotiateOptions::default()
     }
 }
 
@@ -51,15 +54,18 @@ fn observe_acyclic(
 ) -> (String, String, String, u64) {
     let mut net = network(seed);
     let (tele, ring) = Telemetry::ring(8192);
-    let outcome = negotiate_traced(
+    let opts = NegotiateOptions {
+        telemetry: tele.clone(),
+        ..gem_options(gem)
+    };
+    let (outcome, _) = negotiate(
         peers,
         &mut net,
-        gem_config(gem),
+        &opts,
         NegotiationId(1),
         requester,
         responder,
         goal,
-        &tele,
     );
     let metrics = tele
         .metrics()
@@ -90,12 +96,13 @@ fn run_mesh(
     negotiate(
         &mut w.peers,
         &mut net,
-        gem_config(gem),
+        &gem_options(gem),
         NegotiationId(1),
         requester,
         w.responder,
         w.goal.clone(),
     )
+    .0
 }
 
 /// Faults bounded by the E15 convergence bar: drop ≤ 10% for the mesh
@@ -235,21 +242,24 @@ proptest! {
         let mut w = delegation_mesh(2, 2, false);
         let mut net = network(7).with_faults(FaultPlan::uniform(fault_seed, link));
         let requester = w.peer_ids[initiator];
-        let (out, report) = negotiate_resilient(
-            &mut w.peers,
-            &mut net,
-            gem_config(true),
-            ResilienceConfig {
+        let opts = NegotiateOptions {
+            resilience: Some(ResilienceConfig {
                 max_retries: 8,
                 query_deadline_ticks: 256,
                 ..ResilienceConfig::default()
-            },
+            }),
+            ..gem_options(true)
+        };
+        let (out, report) = negotiate(
+            &mut w.peers,
+            &mut net,
+            &opts,
             NegotiationId(1),
             requester,
             w.responder,
             w.goal.clone(),
-            &Telemetry::disabled(),
         );
+        let report = report.expect("resilience requested");
         prop_assert!(report.converged, "failures: {:?}", report.failures);
         prop_assert_eq!(out.success, clean.success);
         prop_assert_eq!(&out.granted, &clean.granted);

@@ -9,9 +9,10 @@
 //! means editing [`STEPS`], which is what both consume.
 //!
 //! `cargo xtask bench --quick` runs the quickbench harness, writes
-//! `target/BENCH.json`, and fails when a cold e8/e13 scenario is >25%
-//! over `BENCH_BASELINE.json`, `e17_gem_mesh` or `e18_serving` is >3x
-//! over it, or any deterministic work counter (resolution steps, serving
+//! `target/BENCH.json`, and fails when a cold e8/e13 scenario's time
+//! relative to a same-run SHA-256 reference is >25% over
+//! `BENCH_BASELINE.json`, `e17_gem_mesh` or `e18_serving` is >3x over
+//! it, or any deterministic work counter (resolution steps, serving
 //! admission decisions) differs from its baseline at all.
 
 use std::process::Command;

@@ -14,7 +14,7 @@
 use peertrust::core::{PeerId, Sym};
 use peertrust::crypto::{KeyRegistry, RevocationList};
 use peertrust::negotiation::{
-    issue_ticket, negotiate, redeem_ticket, AuditLog, NegotiationPeer, PeerMap, SessionConfig,
+    issue_ticket, redeem_ticket, AuditLog, NegotiationPeer, PeerMap, Strategy,
 };
 use peertrust::net::{NegotiationId, SimNetwork, SuperPeerNetwork};
 use peertrust::parser::parse_literal;
@@ -76,10 +76,9 @@ fn main() {
     // --- Negotiation. ---
     let mut net = SimNetwork::new(99);
     let goal = parse_literal(r#"enroll(C, "Alice")"#).unwrap();
-    let outcome = negotiate(
+    let outcome = Strategy::Parsimonious.run(
         &mut peers,
         &mut net,
-        SessionConfig::default(),
         NegotiationId(1),
         PeerId::new("Alice"),
         provider,

@@ -5,7 +5,7 @@
 
 use peertrust::core::{PeerId, Sym};
 use peertrust::crypto::KeyRegistry;
-use peertrust::negotiation::{negotiate, NegotiationPeer, PeerMap, SessionConfig};
+use peertrust::negotiation::{NegotiationPeer, PeerMap, Strategy};
 use peertrust::net::{NegotiationId, SimNetwork, SuperPeerNetwork};
 use peertrust::parser::parse_literal;
 
@@ -75,10 +75,9 @@ fn discovery_finds_providers_then_negotiation_selects_one() {
     let mut attempts = 0;
     for provider in &lookup.providers {
         attempts += 1;
-        let out = negotiate(
+        let out = Strategy::Parsimonious.run(
             &mut peers,
             &mut net,
-            SessionConfig::default(),
             NegotiationId(attempts),
             PeerId::new("Alice"),
             *provider,

@@ -4,7 +4,7 @@
 
 use peertrust::core::PeerId;
 use peertrust::crypto::KeyRegistry;
-use peertrust::negotiation::{negotiate, NegotiationPeer, PeerMap, SessionConfig, Strategy};
+use peertrust::negotiation::{NegotiationPeer, PeerMap, Strategy};
 use peertrust::net::{LatencyModel, NegotiationId, SimNetwork, Topology};
 use peertrust::parser::parse_literal;
 
@@ -42,10 +42,9 @@ fn partitioned_topology_fails_cleanly() {
         LatencyModel::Constant(1),
         0,
     );
-    let out = negotiate(
+    let out = Strategy::Parsimonious.run(
         &mut ps,
         &mut net,
-        SessionConfig::default(),
         NegotiationId(1),
         PeerId::new("Alice"),
         PeerId::new("Server"),
@@ -68,10 +67,9 @@ fn half_connected_topology_blocks_the_counterquery() {
         LatencyModel::Constant(1),
         0,
     );
-    let out = negotiate(
+    let out = Strategy::Parsimonious.run(
         &mut ps,
         &mut net,
-        SessionConfig::default(),
         NegotiationId(1),
         PeerId::new("Alice"),
         PeerId::new("Server"),
@@ -85,10 +83,9 @@ fn half_connected_topology_blocks_the_counterquery() {
 fn exhausted_hop_budget_fails_cleanly() {
     let mut ps = peers();
     let mut net = SimNetwork::new(0).with_max_hops(0);
-    let out = negotiate(
+    let out = Strategy::Parsimonious.run(
         &mut ps,
         &mut net,
-        SessionConfig::default(),
         NegotiationId(1),
         PeerId::new("Alice"),
         PeerId::new("Server"),
@@ -121,10 +118,9 @@ fn eager_strategy_survives_partition() {
 fn high_latency_changes_ticks_not_outcome() {
     let mut fast = peers();
     let mut net_fast = SimNetwork::with(Topology::FullMesh, LatencyModel::Constant(1), 0);
-    let a = negotiate(
+    let a = Strategy::Parsimonious.run(
         &mut fast,
         &mut net_fast,
-        SessionConfig::default(),
         NegotiationId(1),
         PeerId::new("Alice"),
         PeerId::new("Server"),
@@ -133,10 +129,9 @@ fn high_latency_changes_ticks_not_outcome() {
 
     let mut slow = peers();
     let mut net_slow = SimNetwork::with(Topology::FullMesh, LatencyModel::Constant(50), 0);
-    let b = negotiate(
+    let b = Strategy::Parsimonious.run(
         &mut slow,
         &mut net_slow,
-        SessionConfig::default(),
         NegotiationId(1),
         PeerId::new("Alice"),
         PeerId::new("Server"),

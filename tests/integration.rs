@@ -2,15 +2,16 @@
 //! scenarios, warm-cache re-negotiation, tampering, threaded transport,
 //! and multi-negotiation accounting on a shared network.
 
-use peertrust::core::{PeerId, Term};
+use peertrust::core::{Literal, PeerId, Term};
 use peertrust::crypto::KeyRegistry;
 use peertrust::negotiation::{
-    negotiate, negotiate_threaded, verify_safe_sequence, NegotiationPeer, PeerMap, SessionConfig,
-    Strategy,
+    negotiate, negotiate_threaded, verify_safe_sequence, NegotiateOptions, NegotiationPeer,
+    PeerMap, RefusalReason, ResilienceConfig, SharedRemoteAnswerCache, Strategy, MAX_HOP_DEPTH,
 };
-use peertrust::net::{NegotiationId, SimNetwork};
+use peertrust::net::{FaultPlan, NegotiationId, SimNetwork};
 use peertrust::parser::parse_literal;
 use peertrust::scenarios::{chain, Ablation1, Scenario1, Scenario2, Variant2};
+use peertrust::telemetry::Telemetry;
 
 #[test]
 fn scenario1_succeeds_under_both_strategies_via_facade() {
@@ -102,10 +103,9 @@ fn forged_credential_is_rejected_end_to_end() {
     peers.insert(mallory);
 
     let mut net = SimNetwork::new(13);
-    let out = negotiate(
+    let out = Strategy::Parsimonious.run(
         &mut peers,
         &mut net,
-        SessionConfig::default(),
         NegotiationId(1),
         PeerId::new("Mallory"),
         PeerId::new("Server"),
@@ -178,10 +178,9 @@ fn many_negotiations_share_one_network() {
     let mut net = SimNetwork::new(5);
     let mut total_messages = 0;
     for (i, (client, goal)) in goals.iter().enumerate() {
-        let out = negotiate(
+        let out = Strategy::Parsimonious.run(
             &mut peers,
             &mut net,
-            SessionConfig::default(),
             NegotiationId(i as u64),
             *client,
             PeerId::new("Server"),
@@ -203,10 +202,9 @@ fn deep_chain_negotiation_on_big_stack() {
         .spawn(|| {
             let mut w = chain(48);
             let mut net = SimNetwork::new(1);
-            let out = negotiate(
+            let out = Strategy::Parsimonious.run(
                 &mut w.peers,
                 &mut net,
-                SessionConfig::default(),
                 NegotiationId(1),
                 w.requester,
                 w.responder,
@@ -219,6 +217,113 @@ fn deep_chain_negotiation_on_big_stack() {
     assert!(success);
     assert_eq!(creds, 48);
     assert!(messages >= 48 * 3);
+}
+
+#[test]
+fn hop_depth_guard_refuses_the_first_chain_past_the_budget() {
+    // `chain(k)` nests queries 2k - 1 deep, so `chain(64)` peaks at 127,
+    // inside the budget, and `chain(65)` needs 129: its one query past
+    // the budget is refused and the negotiation fails, finitely and
+    // without an unsafe disclosure.
+    let handle = std::thread::Builder::new()
+        .stack_size(64 << 20)
+        .spawn(|| {
+            let run = |depth| {
+                let mut w = chain(depth);
+                let mut net = SimNetwork::new(1);
+                Strategy::Parsimonious.run(
+                    &mut w.peers,
+                    &mut net,
+                    NegotiationId(1),
+                    w.requester,
+                    w.responder,
+                    w.goal.clone(),
+                )
+            };
+            (run(64), run(65))
+        })
+        .unwrap();
+    let (inside, past) = handle.join().unwrap();
+    assert!(inside.success, "{:#?}", inside.refusals);
+    assert_eq!(inside.rounds, 127);
+    assert_eq!(inside.messages, 194);
+
+    assert!(!past.success);
+    assert_eq!(past.rounds, u64::from(MAX_HOP_DEPTH) + 1);
+    assert_eq!(past.messages, 130);
+    let depth_refusals = past
+        .refusals
+        .iter()
+        .filter(|r| r.reason == RefusalReason::DepthExceeded)
+        .count();
+    assert_eq!(depth_refusals, 1, "{:#?}", past.refusals);
+    verify_safe_sequence(&past).unwrap();
+}
+
+/// Every combination of [`NegotiateOptions`] — answer cache (none | a
+/// fresh shared one) × delivery supervision (none | the default over a
+/// none-plan fault lane) × telemetry (off | on) — reaches the outcome of
+/// the plain run, byte for byte, on scenario 1 and on `chain(4)`.
+#[test]
+fn every_negotiate_option_combination_matches_the_plain_run() {
+    type Case = (PeerMap, PeerId, PeerId, Literal);
+    let scenario1 = || -> Case {
+        let s = Scenario1::build();
+        (
+            s.peers,
+            PeerId::new("Alice"),
+            PeerId::new("E-Learn"),
+            Scenario1::goal(),
+        )
+    };
+    let chain4 = || -> Case {
+        let w = chain(4);
+        (w.peers, w.requester, w.responder, w.goal)
+    };
+    for build in [&scenario1 as &dyn Fn() -> Case, &chain4] {
+        let run = |opts: &NegotiateOptions, fault_lane: bool| {
+            let (mut peers, requester, responder, goal) = build();
+            let mut net = SimNetwork::new(0xE1);
+            if fault_lane {
+                net = net.with_faults(FaultPlan::none());
+            }
+            let (out, report) = negotiate(
+                &mut peers,
+                &mut net,
+                opts,
+                NegotiationId(1),
+                requester,
+                responder,
+                goal,
+            );
+            assert_eq!(report.is_some(), opts.resilience.is_some());
+            assert!(report.map_or(true, |r| r.converged));
+            serde_json::to_string(&out).unwrap()
+        };
+        let plain = run(&NegotiateOptions::default(), false);
+        assert!(plain.contains(r#""success":true"#));
+        for cached in [false, true] {
+            for resilient in [false, true] {
+                for traced in [false, true] {
+                    let opts = NegotiateOptions {
+                        cache: cached.then(SharedRemoteAnswerCache::new),
+                        resilience: resilient.then(ResilienceConfig::default),
+                        telemetry: if traced {
+                            Telemetry::ring(1 << 16).0
+                        } else {
+                            Telemetry::disabled()
+                        },
+                        ..NegotiateOptions::default()
+                    };
+                    assert_eq!(
+                        run(&opts, resilient),
+                        plain,
+                        "cached={cached} resilient={resilient} traced={traced}"
+                    );
+                }
+            }
+        }
+    }
 }
 
 #[test]
@@ -238,10 +343,9 @@ fn goal_with_variables_returns_bindings() {
     peers.insert(NegotiationPeer::new("Shopper", registry));
 
     let mut net = SimNetwork::new(9);
-    let out = negotiate(
+    let out = Strategy::Parsimonious.run(
         &mut peers,
         &mut net,
-        SessionConfig::default(),
         NegotiationId(2),
         PeerId::new("Shopper"),
         PeerId::new("Catalog"),

@@ -4,7 +4,7 @@
 
 use peertrust::core::{PeerId, Term};
 use peertrust::crypto::KeyRegistry;
-use peertrust::negotiation::{negotiate, NegotiationPeer, PeerMap, SessionConfig};
+use peertrust::negotiation::{NegotiationPeer, PeerMap, Strategy};
 use peertrust::net::{NegotiationId, SimNetwork};
 use peertrust::parser::parse_literal;
 use peertrust::rdf::{import_metadata, parse_ntriples, TripleStore};
@@ -59,10 +59,9 @@ fn build() -> (PeerMap, KeyRegistry) {
 
 fn run(peers: &mut PeerMap, goal: &str) -> peertrust::negotiation::NegotiationOutcome {
     let mut net = SimNetwork::new(3);
-    negotiate(
+    Strategy::Parsimonious.run(
         peers,
         &mut net,
-        SessionConfig::default(),
         NegotiationId(1),
         PeerId::new("Bob"),
         PeerId::new("E-Learn"),
