@@ -35,15 +35,26 @@ fn bench_rule_signing(c: &mut Criterion) {
     });
 
     let signed = sign_rule(&registry, &rule).unwrap();
+    // Warm: after the first iteration the registry's memo holds the tag,
+    // which is what every repeated receipt of a credential pays.
     group.bench_function("verify_rule", |b| {
         b.iter(|| verify_signed_rule(&registry, &signed).unwrap())
+    });
+    // Cold: re-registering the key empties the memo, so every iteration
+    // runs the full HMAC check (a credential's first receipt).
+    group.bench_function("verify_rule_cold", |b| {
+        b.iter_batched(
+            || registry.register_derived(PeerId::new("UIUC"), 1),
+            |()| verify_signed_rule(&registry, &signed).unwrap(),
+            BatchSize::SmallInput,
+        )
     });
     group.finish();
 }
 
 fn bench_negotiation_crypto_share(c: &mut Criterion) {
     // Scenario 1 involves 4 credential transfers; measuring it alongside
-    // raw sign/verify shows the crypto share of a negotiation is tiny.
+    // raw sign/verify bounds the crypto share of a negotiation.
     let mut group = c.benchmark_group("e9_negotiation");
     group.sample_size(20);
     group.bench_function("scenario1_with_signing", |b| {

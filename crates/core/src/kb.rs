@@ -203,13 +203,17 @@ impl KnowledgeBase {
     /// Does the KB already contain a syntactically identical rule? Used to
     /// deduplicate credentials pushed repeatedly during a negotiation.
     pub fn contains(&self, rule: &Rule) -> bool {
-        let key = rule.head.functor();
-        let hit = |seg: &KbSegment| {
-            seg.index
-                .get(&key)
-                .is_some_and(|ids| ids.iter().any(|&i| *self.stored(i).rule == *rule))
-        };
-        self.base.as_deref().is_some_and(hit) || hit(&self.overlay)
+        self.find(rule).is_some()
+    }
+
+    /// The id of the first stored rule syntactically identical to `rule`.
+    pub fn find(&self, rule: &Rule) -> Option<RuleId> {
+        let (base, over) = self.index_buckets(&rule.head.functor());
+        base.iter()
+            .chain(over)
+            .map(|&i| self.stored(i))
+            .find(|sr| *sr.rule == *rule)
+            .map(|sr| sr.id)
     }
 
     /// Add a received rule only if not already present; returns whether it
@@ -603,6 +607,13 @@ mod tests {
         // Dedup must see both segments.
         assert!(!cow.add_received_dedup(fact("p", "x"), PeerId::new("A")));
         assert!(cow.add_received_dedup(fact("z", "x"), PeerId::new("A")));
+        assert_eq!(cow.find(&fact("p", "x")), Some(RuleId(0)));
+        assert_eq!(cow.find(&fact("r", "x")), Some(RuleId(2)));
+        assert_eq!(cow.find(&fact("z", "x")), Some(RuleId(3)));
+        assert_eq!(cow.find(&fact("r", "y")), None);
+        // A duplicate added without the check is never the one found.
+        cow.add_local(fact("p", "x"));
+        assert_eq!(cow.find(&fact("p", "x")), Some(RuleId(0)));
     }
 
     #[test]

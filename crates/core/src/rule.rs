@@ -189,6 +189,12 @@ impl Rule {
         }
     }
 
+    /// Does the rule carry a head or rule context — anything
+    /// [`Rule::strip_contexts`] would remove?
+    pub fn has_contexts(&self) -> bool {
+        self.head_context.is_some() || self.rule_context.is_some()
+    }
+
     /// Strip contexts, as done when a rule is sent to another peer
     /// (paper §3.1: "we will strip the contexts from literals and rules when
     /// they are sent to another peer").

@@ -8,32 +8,52 @@ use crate::sha256::{sha256, Digest, Sha256};
 
 const BLOCK: usize = 64;
 
+/// An HMAC-SHA256 key schedule: the SHA-256 midstates after absorbing the
+/// inner (`key ^ ipad`) and outer (`key ^ opad`) key blocks. Tagging a
+/// message from them skips the two key-block compressions that
+/// [`hmac_sha256`] would redo per call.
+pub(crate) struct HmacKey {
+    inner: Sha256,
+    outer: Sha256,
+}
+
+impl HmacKey {
+    pub(crate) fn new(key: &[u8]) -> HmacKey {
+        // Keys longer than the block size are hashed first.
+        let mut k = [0u8; BLOCK];
+        if key.len() > BLOCK {
+            k[..32].copy_from_slice(&sha256(key));
+        } else {
+            k[..key.len()].copy_from_slice(key);
+        }
+
+        let mut ipad = [0u8; BLOCK];
+        let mut opad = [0u8; BLOCK];
+        for i in 0..BLOCK {
+            ipad[i] = k[i] ^ 0x36;
+            opad[i] = k[i] ^ 0x5c;
+        }
+
+        let mut inner = Sha256::new();
+        inner.update(&ipad);
+        let mut outer = Sha256::new();
+        outer.update(&opad);
+        HmacKey { inner, outer }
+    }
+
+    /// `HMAC-SHA256(key, message)`.
+    pub(crate) fn tag(&self, message: &[u8]) -> Digest {
+        let mut inner = self.inner.clone();
+        inner.update(message);
+        let mut outer = self.outer.clone();
+        outer.update(&inner.finalize());
+        outer.finalize()
+    }
+}
+
 /// Compute `HMAC-SHA256(key, message)`.
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
-    // Keys longer than the block size are hashed first.
-    let mut k = [0u8; BLOCK];
-    if key.len() > BLOCK {
-        k[..32].copy_from_slice(&sha256(key));
-    } else {
-        k[..key.len()].copy_from_slice(key);
-    }
-
-    let mut ipad = [0u8; BLOCK];
-    let mut opad = [0u8; BLOCK];
-    for i in 0..BLOCK {
-        ipad[i] = k[i] ^ 0x36;
-        opad[i] = k[i] ^ 0x5c;
-    }
-
-    let mut inner = Sha256::new();
-    inner.update(&ipad);
-    inner.update(message);
-    let inner_digest = inner.finalize();
-
-    let mut outer = Sha256::new();
-    outer.update(&opad);
-    outer.update(&inner_digest);
-    outer.finalize()
+    HmacKey::new(key).tag(message)
 }
 
 /// Constant-time tag comparison (avoids the classic timing side channel,
@@ -93,6 +113,14 @@ mod tests {
             to_hex(&tag),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
         );
+    }
+
+    #[test]
+    fn key_schedule_reuse_matches_one_shot() {
+        let key = HmacKey::new(b"Jefe");
+        for msg in [&b""[..], b"what do ya want for nothing?", &[0x5a; 200]] {
+            assert_eq!(key.tag(msg), hmac_sha256(b"Jefe", msg));
+        }
     }
 
     #[test]

@@ -88,13 +88,20 @@ impl Sha256 {
     /// Finish and produce the digest.
     pub fn finalize(mut self) -> Digest {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, then the 64-bit big-endian bit length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        // Padding: 0x80, zeros, then the 64-bit big-endian bit length,
+        // written straight into the tail block. A tail past 55 bytes
+        // leaves no room for the length, which then gets a block of its
+        // own.
+        let mut end = self.buf_len;
+        self.buf[end] = 0x80;
+        end += 1;
+        if end > 56 {
+            self.buf[end..].fill(0);
+            let block = self.buf;
+            self.compress(&block);
+            end = 0;
         }
-        // Manual write of the length; bypass update's total_len bump by
-        // compressing directly.
+        self.buf[end..56].fill(0);
         self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buf;
         self.compress(&block);
@@ -239,6 +246,31 @@ mod tests {
             to_hex(&sha256(&msg)),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
         );
+    }
+
+    #[test]
+    fn every_tail_length_pads_like_the_byte_at_a_time_reference() {
+        // FIPS 180-4 §5.1.1 padding built byte by byte, hashed through
+        // `update` (whose block loop then sees whole blocks only).
+        fn reference(msg: &[u8]) -> Digest {
+            let mut padded = msg.to_vec();
+            padded.push(0x80);
+            while padded.len() % 64 != 56 {
+                padded.push(0);
+            }
+            padded.extend_from_slice(&(msg.len() as u64 * 8).to_be_bytes());
+            let mut h = Sha256::new();
+            h.update(&padded);
+            let mut out = [0u8; DIGEST_LEN];
+            for (i, w) in h.state.iter().enumerate() {
+                out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
+            }
+            out
+        }
+        for len in 0..=200 {
+            let msg: Vec<u8> = (0..len as u8).collect();
+            assert_eq!(sha256(&msg), reference(&msg), "length {len}");
+        }
     }
 
     #[test]

@@ -60,7 +60,17 @@ impl From<KeyError> for SigError {
 /// Contexts are the holder's private release policies and must not affect
 /// (or be covered by) the issuer's signature.
 pub fn canonical_bytes(rule: &Rule) -> Vec<u8> {
-    rule.strip_contexts().to_string().into_bytes()
+    use std::fmt::Write as _;
+    // Room for a typical credential, so printing does not regrow the
+    // buffer several times per verification.
+    let mut text = String::with_capacity(128);
+    let printed = if rule.has_contexts() {
+        write!(text, "{}", rule.strip_contexts())
+    } else {
+        write!(text, "{rule}")
+    };
+    printed.expect("printing a rule cannot fail");
+    text.into_bytes()
 }
 
 /// Sign `rule` with every issuer in its `signedBy` clause.

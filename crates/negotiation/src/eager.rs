@@ -19,9 +19,9 @@
 //! fewer rounds but discloses more credentials and bytes.
 
 use crate::outcome::{DisclosedItem, Disclosure, Evidence, NegotiationOutcome};
-use crate::peer::NegotiationPeer;
-use crate::session::{classify_evidence, PeerMap};
-use peertrust_core::{Context, KnowledgeBase, Literal, PeerId, Rule, RuleId, Subst};
+use crate::peer::{NegotiationPeer, Receipt};
+use crate::session::{classify_evidence, licensing_rule, self_closure, LicensingRule, PeerMap};
+use peertrust_core::{Context, KnowledgeBase, Literal, PeerId, Rule, RuleId};
 use peertrust_engine::{EngineConfig, Solver};
 use peertrust_net::{NegotiationId, Payload, SimNetwork};
 
@@ -61,8 +61,9 @@ pub fn negotiate_eager(
     let mut disclosures: Vec<Disclosure> = Vec::new();
     // (owner, rule) pairs already sent, to avoid re-disclosure.
     let mut sent: Vec<(PeerId, Rule)> = Vec::new();
-    // What each principal received this negotiation: (rule, sender).
-    let mut ledgers: std::collections::HashMap<PeerId, Vec<(Rule, PeerId)>> =
+    // What each principal received this negotiation: (its rule id,
+    // sender), a credential's sender-extended fact right after it.
+    let mut ledgers: std::collections::HashMap<PeerId, Vec<(RuleId, PeerId)>> =
         std::collections::HashMap::new();
     let mut rename_seq: u32 = 0;
 
@@ -112,25 +113,24 @@ pub fn negotiate_eager(
             net.step();
             let _ = net.poll(recipient);
 
-            for (sr, ctx, ev) in newly {
-                sent.push((discloser, sr.rule.clone()));
+            for (mut wire, ctx, ev) in newly {
+                sent.push((discloser, wire.rule.clone()));
                 // The wire form is context-stripped (paper §3.1).
-                let wire = peertrust_crypto::SignedRule {
-                    rule: sr.rule.strip_contexts(),
-                    signatures: sr.signatures.clone(),
-                };
+                wire.rule.head_context = None;
+                wire.rule.rule_context = None;
                 let accepted = peers
                     .get_mut(recipient)
                     .expect("recipient exists")
-                    .receive_signed(wire.clone(), discloser);
-                if let Ok(true) = accepted {
-                    ledgers
-                        .entry(recipient)
-                        .or_default()
-                        .push((wire.rule.clone(), discloser));
-                    if let Some(ext) = crate::peer::sender_extended(&wire.rule, discloser) {
-                        ledgers.entry(recipient).or_default().push((ext, discloser));
-                    }
+                    .receive_signed_mode(&wire, discloser, false);
+                if let Ok(Receipt {
+                    id,
+                    sender_extended,
+                    fresh: true,
+                }) = accepted
+                {
+                    let ledger = ledgers.entry(recipient).or_default();
+                    ledger.push((id, discloser));
+                    ledger.extend(sender_extended.map(|ext| (ext, discloser)));
                     let seq = disclosures.len();
                     disclosures.push(Disclosure {
                         seq,
@@ -199,7 +199,7 @@ fn releasable_credentials(
     owner: PeerId,
     recipient: PeerId,
     sent: &[(PeerId, Rule)],
-    ledger: Option<&[(Rule, PeerId)]>,
+    ledger: Option<&[(RuleId, PeerId)]>,
     rename_seq: &mut u32,
 ) -> Vec<(peertrust_crypto::SignedRule, Context, Vec<Evidence>)> {
     let Some(peer) = peers.get(owner) else {
@@ -234,7 +234,7 @@ fn grantable_locally(
     responder: PeerId,
     requester: PeerId,
     goal: &Literal,
-    ledger: Option<&[(Rule, PeerId)]>,
+    ledger: Option<&[(RuleId, PeerId)]>,
     rename_seq: &mut u32,
 ) -> Option<(Vec<Literal>, Context, Vec<Evidence>)> {
     let peer = peers.get(responder)?;
@@ -275,36 +275,20 @@ fn license_locally(
     recipient: PeerId,
     answer: &Literal,
     kb: &KnowledgeBase,
-    ledger: Option<&[(Rule, PeerId)]>,
+    ledger: Option<&[(RuleId, PeerId)]>,
     rename_seq: &mut u32,
 ) -> Option<(Context, Vec<Evidence>)> {
     if recipient == peer.id {
         return Some((Context::public(), Vec::new()));
     }
     let engine = local_config(peer.config.engine);
-    let candidates: Vec<(RuleId, Rule)> = kb
-        .candidates(answer)
-        .map(|sr| (sr.id, sr.rule.as_ref().clone()))
-        .collect();
-    // §3.2 self-closure: a chainless answer also matches licensing rules
-    // written with the owner's explicit authority.
-    let extended = answer.clone().at(peertrust_core::Term::peer(peer.id));
-    for (_id, rule) in candidates {
-        *rename_seq += 1;
-        let renamed = rule.rename_apart(*rename_seq);
-        let mut s = Subst::new();
-        if !peertrust_core::unify_literals(&renamed.head, answer, &mut s) {
-            s = Subst::new();
-            if answer.eval_peer() == Some(peer.id)
-                || !peertrust_core::unify_literals(&renamed.head, &extended, &mut s)
-            {
-                continue;
-            }
-        }
-        let ctx = renamed.effective_head_context().apply(&s);
-        if ctx.is_default_private() {
+    let closure = self_closure(answer, peer.id);
+    for candidate in kb.candidates(answer) {
+        let Some(LicensingRule { context: ctx, body }) =
+            licensing_rule(&candidate.rule, answer, closure.as_ref(), rename_seq)
+        else {
             continue;
-        }
+        };
 
         let mut evidence = Vec::new();
         let mut ctx_goals = Vec::new();
@@ -317,9 +301,8 @@ fn license_locally(
             }
         }
 
-        let body: Vec<Literal> = renamed.body.iter().map(|b| s.apply_literal(b)).collect();
         let body_is_answer = body.len() == 1 && body[0] == *answer;
-        if !renamed.body.is_empty() && !body_is_answer {
+        if !body.is_empty() && !body_is_answer {
             let mut solver = Solver::new(kb, peer.id).with_config(engine);
             if !solver.provable(&body) {
                 continue;

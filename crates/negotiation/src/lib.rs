@@ -72,7 +72,7 @@ pub use outcome::{
     verify_safe_sequence, DisclosedItem, Disclosure, Evidence, NegotiationOutcome, Refusal,
     RefusalReason, SafetyViolation,
 };
-pub use peer::{issuer_extended, sender_extended, NegotiationPeer, PeerConfig, PeerError};
+pub use peer::{issuer_extended, sender_extended, NegotiationPeer, PeerConfig, PeerError, Receipt};
 pub use resilience::{ResilienceConfig, ResilienceFailure, ResilienceReport, ResilienceStats};
 pub use scheduler::{negotiate_batch, BatchConfig, BatchFaults, BatchJob, BatchReport, BatchStats};
 pub use serve::{

@@ -8,10 +8,11 @@
 //! answer a few kinds of queries, and those only for a few kinds of
 //! requesters").
 
-use peertrust_core::{KnowledgeBase, Literal, PeerId, Rule, RuleId, Sym};
+use peertrust_core::{KnowledgeBase, Literal, PeerId, Rule, RuleId, Sym, Term};
 use peertrust_crypto::{sign_rule, verify_signed_rule, KeyRegistry, SigError, SignedRule};
 use peertrust_engine::EngineConfig;
 use peertrust_parser::{parse_program, ParseError};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -20,20 +21,10 @@ use std::sync::Arc;
 pub struct PeerConfig {
     /// Local inference engine settings.
     pub engine: EngineConfig,
-    /// Require third-party answers to be re-derivable from pushed *signed*
-    /// rules (the "certified proof" check). An answer from the authority
-    /// itself is always accepted on message authentication alone.
-    pub verify_answers: bool,
     /// Predicates this peer answers queries about; `None` = any.
     pub answerable: Option<HashSet<Sym>>,
     /// Requesters this peer refuses outright.
     pub deny_peers: HashSet<PeerId>,
-    /// Forward signed rules received from third parties when they back an
-    /// answer being relayed (credential-chain propagation). The paper's
-    /// contexts are stripped on send, so re-dissemination control would
-    /// need sticky policies (§3.1), which are out of scope; peers that
-    /// must not relay can turn this off.
-    pub relay_received: bool,
     /// Hard cap on queries answered within one negotiation (effort limit).
     pub max_queries_per_negotiation: u64,
 }
@@ -42,10 +33,8 @@ impl Default for PeerConfig {
     fn default() -> Self {
         PeerConfig {
             engine: EngineConfig::default(),
-            verify_answers: true,
             answerable: None,
             deny_peers: HashSet::new(),
-            relay_received: true,
             max_queries_per_negotiation: 10_000,
         }
     }
@@ -93,17 +82,41 @@ pub fn issuer_extended(rule: &Rule) -> Option<Rule> {
     if rule.head.eval_peer() == Some(issuer) {
         return None;
     }
-    Some(Rule::fact(
-        rule.head.clone().at(peertrust_core::Term::peer(issuer)),
-    ))
+    Some(fact_at(&rule.head, issuer))
 }
 
 /// The sender-extended fact recorded alongside a received credential:
 /// `head @ sender`, the receiver's note that `sender` asserted the
 /// credential's content by sending it. `None` for non-credentials.
 pub fn sender_extended(rule: &Rule, from: PeerId) -> Option<Rule> {
-    rule.is_credential()
-        .then(|| Rule::fact(rule.head.clone().at(peertrust_core::Term::peer(from))))
+    rule.is_credential().then(|| fact_at(&rule.head, from))
+}
+
+/// The fact `head @ peer`, its authority chain allocated once at its
+/// final length.
+fn fact_at(head: &Literal, peer: PeerId) -> Rule {
+    let mut authority = Vec::with_capacity(head.authority.len() + 1);
+    authority.extend_from_slice(&head.authority);
+    authority.push(Term::peer(peer));
+    Rule::fact(Literal {
+        pred: head.pred,
+        args: head.args.clone(),
+        authority,
+    })
+}
+
+/// What [`NegotiationPeer::receive_signed_mode`] did with a rule whose
+/// signatures verified.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Receipt {
+    /// The receiver's id for the rule: the one just stored, or that of
+    /// the identical rule it already held.
+    pub id: RuleId,
+    /// The id of the sender-extended fact `head @ from`, if the receiver
+    /// holds one.
+    pub sender_extended: Option<RuleId>,
+    /// Was the rule new to the receiver?
+    pub fresh: bool,
 }
 
 /// One party in trust negotiations.
@@ -255,8 +268,8 @@ impl NegotiationPeer {
     /// ending in `@ Requester` (e.g. `member(Requester) @ "ELENA" @
     /// Requester`) ask for. The extended fact is unsigned and private; it
     /// only feeds local derivations.
-    pub fn receive_signed(&mut self, signed: SignedRule, from: PeerId) -> Result<bool, PeerError> {
-        self.receive_signed_mode(signed, from, false)
+    pub fn receive_signed(&mut self, signed: &SignedRule, from: PeerId) -> Result<bool, PeerError> {
+        Ok(self.receive_signed_mode(signed, from, false)?.fresh)
     }
 
     /// [`NegotiationPeer::receive_signed`] with sticky-policy support:
@@ -266,44 +279,57 @@ impl NegotiationPeer {
     /// peer can control further dissemination of its released information
     /// in a non-adversarial environment"). The retained context then
     /// gates this peer's re-disclosure of the rule.
+    ///
+    /// The rule is copied only when it is new to this peer.
     pub fn receive_signed_mode(
         &mut self,
-        signed: SignedRule,
+        signed: &SignedRule,
         from: PeerId,
         sticky: bool,
-    ) -> Result<bool, PeerError> {
-        verify_signed_rule(&self.registry, &signed)?;
+    ) -> Result<Receipt, PeerError> {
+        verify_signed_rule(&self.registry, signed)?;
         // Contexts are the *sender's* release policies; by default the
         // paper strips them on the wire (§3.1) and so do we — whatever
         // arrives is normalized to its context-free form, which then falls
         // under the receiving peer's own (default-private) policies. In
         // sticky mode the head context survives and travels with the rule.
-        let signed = if sticky {
-            signed
+        let rule = if sticky || !signed.rule.has_contexts() {
+            Cow::Borrowed(&signed.rule)
         } else {
-            SignedRule {
-                rule: signed.rule.strip_contexts(),
-                signatures: signed.signatures,
-            }
+            Cow::Owned(signed.rule.strip_contexts())
         };
-        if self.kb.contains(&signed.rule) {
-            return Ok(false);
+        let extended = sender_extended(&rule, from);
+        if let Some(id) = self.kb.find(&rule) {
+            return Ok(Receipt {
+                id,
+                sender_extended: extended.and_then(|ext| self.kb.find(&ext)),
+                fresh: false,
+            });
         }
-        let id = self.kb.add_received(signed.rule.clone(), from);
-        if let Some(extended) = sender_extended(&signed.rule, from) {
-            self.kb.add_received_dedup(extended, from);
-        }
+        let bundle = SignedRule {
+            rule: rule.into_owned(),
+            signatures: signed.signatures.clone(),
+        };
+        let id = self.kb.add_received(bundle.rule.clone(), from);
+        let sender_extended = extended.map(|ext| match self.kb.find(&ext) {
+            Some(eid) => eid,
+            None => self.kb.add_received(ext, from),
+        });
         // Certify `id` before its extension so the view keeps KB order;
         // the bundle is cloned only when both need it.
-        match issuer_extended(&signed.rule).filter(|ext| !self.kb.contains(ext)) {
+        match issuer_extended(&bundle.rule).filter(|ext| !self.kb.contains(ext)) {
             Some(ext) => {
-                self.certify(id, signed.clone());
+                self.certify(id, bundle.clone());
                 let eid = self.kb.add_received(ext, from);
-                self.certify(eid, signed);
+                self.certify(eid, bundle);
             }
-            None => self.certify(id, signed),
+            None => self.certify(id, bundle),
         }
-        Ok(true)
+        Ok(Receipt {
+            id,
+            sender_extended,
+            fresh: true,
+        })
     }
 
     /// The stored signature bundle for a rule, if it is a pushable signed
@@ -312,15 +338,6 @@ impl NegotiationPeer {
         self.signed_overlay
             .get(&id)
             .or_else(|| self.signed_base.get(&id))
-    }
-
-    /// Look up the signature bundle by rule content (used when relaying
-    /// rules recorded in a session ledger).
-    pub fn signed_rule_for(&self, rule: &Rule) -> Option<&SignedRule> {
-        self.signed_base
-            .values()
-            .chain(self.signed_overlay.values())
-            .find(|sr| sr.rule == *rule)
     }
 
     /// All signed rules this peer could potentially disclose.
@@ -399,10 +416,10 @@ mod tests {
 
         let mut elearn = NegotiationPeer::new("E-Learn", reg);
         assert!(elearn
-            .receive_signed(signed.clone(), PeerId::new("Alice"))
+            .receive_signed(&signed, PeerId::new("Alice"))
             .unwrap());
         assert!(!elearn
-            .receive_signed(signed.clone(), PeerId::new("Alice"))
+            .receive_signed(&signed, PeerId::new("Alice"))
             .unwrap());
         // Credential + its sender-extended fact.
         assert_eq!(elearn.kb.len(), 2);
@@ -416,7 +433,7 @@ mod tests {
         // Tampered rule is rejected.
         let mut bad = signed;
         bad.rule.head.args[0] = Term::str("Mallory");
-        assert!(elearn.receive_signed(bad, PeerId::new("Alice")).is_err());
+        assert!(elearn.receive_signed(&bad, PeerId::new("Alice")).is_err());
     }
 
     #[test]
@@ -458,7 +475,7 @@ mod tests {
             .unwrap()[0];
         let pushed = bob.signed_rule(bid).unwrap().clone();
         let mut grown = alice.clone();
-        assert!(grown.receive_signed(pushed, PeerId::new("Bob")).unwrap());
+        assert!(grown.receive_signed(&pushed, PeerId::new("Bob")).unwrap());
         assert!(grown.disclosable_signed_rules().count() > disclosable);
         assert_eq!(
             alice.disclosable_signed_rules().count(),
@@ -579,27 +596,30 @@ mod tests {
                             holder.id
                         };
                         let sticky = rng.gen_bool(0.5);
-                        frozen &= !p.receive_signed_mode(signed.clone(), from, sticky).unwrap();
+                        frozen &= !p.receive_signed_mode(&signed, from, sticky).unwrap().fresh;
                         pushed.push((signed, sticky));
                         "receive"
                     }
                     5 if !pushed.is_empty() => {
                         let (signed, sticky) = pushed[pick].clone();
-                        let fresh = p.receive_signed_mode(signed, holder.id, sticky).unwrap();
-                        assert!(!fresh, "a re-push is a duplicate");
+                        let receipt = p.receive_signed_mode(&signed, holder.id, sticky).unwrap();
+                        assert!(!receipt.fresh, "a re-push is a duplicate");
                         "duplicate"
                     }
                     6 if !pushed.is_empty() => {
                         // A context stripped on first receipt is kept now, or
                         // the other way round: new only for `$ ctx` rules.
                         let (signed, sticky) = pushed[pick].clone();
-                        frozen &= !p.receive_signed_mode(signed, holder.id, !sticky).unwrap();
+                        frozen &= !p
+                            .receive_signed_mode(&signed, holder.id, !sticky)
+                            .unwrap()
+                            .fresh;
                         "sticky flip"
                     }
                     7 if !pushed.is_empty() => {
                         let mut bad = pushed[pick].0.clone();
                         bad.rule.head.args[0] = Term::str("Mallory");
-                        assert!(p.receive_signed_mode(bad, holder.id, false).is_err());
+                        assert!(p.receive_signed_mode(&bad, holder.id, false).is_err());
                         "tampered"
                     }
                     8 => {

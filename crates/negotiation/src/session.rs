@@ -30,19 +30,20 @@ use crate::outcome::{
 };
 use crate::peer::NegotiationPeer;
 use crate::resilience::{ResilienceConfig, ResilienceFailure, ResilienceReport, ResilienceState};
-use peertrust_core::{Context, KnowledgeBase, Literal, PeerId, Subst};
+use peertrust_core::{
+    Context, FxHashMap, KnowledgeBase, Literal, PeerId, Rule, RuleId, Subst, Term, Var,
+};
 use peertrust_crypto::SignedRule;
 use peertrust_engine::{canonicalize, Proof, ProofStep, RemoteHook, Solver};
 use peertrust_net::{
     MessageFate, MessageId, NegotiationId, Payload, QueryId, SimNetwork, TraceContext,
 };
 use peertrust_telemetry::{Field, SpanId, Telemetry};
-use std::collections::HashMap;
 
 /// The collection of peers participating in negotiations.
 #[derive(Clone, Default)]
 pub struct PeerMap {
-    map: HashMap<PeerId, NegotiationPeer>,
+    map: FxHashMap<PeerId, NegotiationPeer>,
 }
 
 impl PeerMap {
@@ -224,12 +225,11 @@ pub fn negotiate(
         in_flight: Vec::new(),
         disclosures: Vec::new(),
         refusals: Vec::new(),
-        answered: HashMap::new(),
+        answered: FxHashMap::default(),
         max_depth_seen: 0,
         rename_seq: 0,
-        received_rules: HashMap::new(),
-        received_answers: HashMap::new(),
-        session_answers: HashMap::new(),
+        received_rules: FxHashMap::default(),
+        session_answers: FxHashMap::default(),
         answer_cache: opts.cache.as_ref(),
         resilience,
         telemetry,
@@ -349,17 +349,17 @@ pub(crate) struct Session<'a> {
     in_flight: Vec<(PeerId, Literal)>,
     pub(crate) disclosures: Vec<Disclosure>,
     pub(crate) refusals: Vec<Refusal>,
-    answered: HashMap<PeerId, u64>,
+    answered: FxHashMap<PeerId, u64>,
     max_depth_seen: u32,
     /// Fresh-variable counter for standardize-apart in licensing scans.
     rename_seq: u32,
-    /// Rules each peer received during this session (rule, sender).
-    received_rules: HashMap<PeerId, Vec<(peertrust_core::Rule, PeerId)>>,
-    /// Answers each peer received during this session (answer, sender).
-    received_answers: HashMap<PeerId, Vec<(Literal, PeerId)>>,
+    /// Rules each peer received during this session, in arrival order:
+    /// (the receiver's rule id, sender). A credential's sender-extended
+    /// fact is listed right after it.
+    received_rules: FxHashMap<PeerId, Vec<(RuleId, PeerId)>>,
     /// Per-session remote-answer memo: accepted answers keyed by
     /// (requester, responder, canonical goal). See `crate::answer_cache`.
-    session_answers: HashMap<CacheKey, Vec<Literal>>,
+    session_answers: FxHashMap<CacheKey, Vec<Literal>>,
     /// Optional shared cross-negotiation cache (public answers only).
     answer_cache: Option<&'a SharedRemoteAnswerCache>,
     /// When attached, deliveries are supervised: deadlines, retries with
@@ -385,6 +385,23 @@ pub(crate) struct Session<'a> {
     /// cross-peer SCCs. Untouched unless [`SessionConfig::gem`] is on and
     /// a delegation loop actually closes.
     gem: GemState,
+}
+
+/// A released answer with its licensing context and evidence.
+type Reply = (Literal, Context, Vec<Evidence>);
+
+/// A signed rule to push, with the licensing context and evidence its
+/// disclosure records and, under sticky policies only, the licensing
+/// context (`Requester` still symbolic) that travels with it.
+type Push = (SignedRule, Context, Vec<Evidence>, Option<Context>);
+
+/// A message the transport accepted, awaiting [`Session::deliver`].
+struct Sent {
+    id: MessageId,
+    trace: TraceContext,
+    /// The payload again, kept only under supervision — the one delivery
+    /// mode that may have to send it again.
+    resend: Option<Payload>,
 }
 
 struct SessionHook<'s, 'a> {
@@ -609,7 +626,7 @@ impl<'a> Session<'a> {
                             .peers
                             .get_mut(peer)
                             .expect("peer exists")
-                            .receive_signed_mode(sr, sender, sticky);
+                            .receive_signed_mode(&sr, sender, sticky);
                     }
                 }
             }
@@ -630,59 +647,90 @@ impl<'a> Session<'a> {
         }
     }
 
+    /// Is delivery supervised? Supervision needs per-message fates,
+    /// which only a fault lane tracks; without one (or without a
+    /// resilience config) delivery is the unsupervised one-step contract.
+    fn supervised(&self) -> bool {
+        self.resilience.is_some() && self.net.fault_plan().is_some()
+    }
+
+    /// Hand `payload` to the transport under fresh trace coordinates.
+    /// `None` when the transport rejects it (partition, hop budget).
+    fn send(
+        &mut self,
+        sender: PeerId,
+        recipient: PeerId,
+        payload: Payload,
+        depth: u32,
+    ) -> Option<Sent> {
+        let trace = self.trace_msg();
+        let resend = self.supervised().then(|| payload.clone());
+        let id = self
+            .net
+            .send_traced(self.nid, sender, recipient, payload, depth, trace)
+            .ok()?;
+        Some(Sent { id, trace, resend })
+    }
+
+    /// [`Session::send`] then [`Session::deliver`]: `false` when the
+    /// transport rejected the message or it never arrived.
+    fn ship(
+        &mut self,
+        sender: PeerId,
+        recipient: PeerId,
+        payload: Payload,
+        depth: u32,
+        kind: &'static str,
+    ) -> bool {
+        match self.send(sender, recipient, payload, depth) {
+            Some(sent) => self.deliver(sent, sender, recipient, depth, kind),
+            None => false,
+        }
+    }
+
     /// Complete delivery of a just-sent message: pump the simulated
     /// network and hand the message to `recipient`'s inbox. In the
     /// baseline this is exactly one `step` + one accounting `poll` (the
-    /// synchronous driver's contract, kept bit-identical). With
-    /// resilience attached the delivery is supervised: wait for the
-    /// message's fate up to the deadline, re-send with exponential
-    /// backoff on loss or timeout, suppress duplicates, and resume
-    /// crashed peers. Returns `false` only after recording a
+    /// synchronous driver's contract, kept bit-identical). Supervised
+    /// delivery waits for the message's fate up to the deadline, re-sends
+    /// with exponential backoff on loss or timeout, suppresses duplicates,
+    /// and resumes crashed peers. Returns `false` only after recording a
     /// [`ResilienceFailure`] — there is no non-terminating path.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_delivery(
+    fn deliver(
         &mut self,
-        first_id: MessageId,
+        sent: Sent,
         sender: PeerId,
         recipient: PeerId,
-        payload: &Payload,
         depth: u32,
         kind: &'static str,
-        trace: TraceContext,
     ) -> bool {
         // Everything spent in here is network time — except deliberate
         // backoff sleeps, which the inner loop books separately.
         let t0 = self.net.now();
         let b0 = self.backoff_ticks;
-        let ok =
-            self.finish_delivery_inner(first_id, sender, recipient, payload, depth, kind, trace);
+        let ok = self.deliver_inner(sent, sender, recipient, depth, kind);
         let waited = (self.net.now() - t0).saturating_sub(self.backoff_ticks - b0);
         self.net_wait_ticks += waited;
         ok
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn finish_delivery_inner(
+    fn deliver_inner(
         &mut self,
-        first_id: MessageId,
+        sent: Sent,
         sender: PeerId,
         recipient: PeerId,
-        payload: &Payload,
         depth: u32,
         kind: &'static str,
-        trace: TraceContext,
     ) -> bool {
-        // Supervision needs per-message fates, which only a fault lane
-        // tracks; without one (or without a resilience config) fall back
-        // to the unsupervised one-step contract.
-        if self.resilience.is_none() || self.net.fault_plan().is_none() {
+        // Only supervised sends keep their payload (see `Session::send`).
+        let Some(payload) = sent.resend else {
             self.net.step();
             let _ = self.net.poll(recipient);
             return true;
-        }
+        };
         let cfg = self.resilience.as_ref().expect("resilient").cfg.clone();
         let deadline = self.net.now() + cfg.query_deadline_ticks;
-        let mut current = first_id;
+        let mut current = sent.id;
         let mut attempts: u32 = 0;
         loop {
             // Pump until the attempt's fate is known or the deadline bars
@@ -750,7 +798,7 @@ impl<'a> Session<'a> {
             self.drain_dedup(sender);
             self.drain_dedup(recipient);
             self.maybe_crash_resume();
-            let retry_trace = self.trace_retry(trace);
+            let retry_trace = self.trace_retry(sent.trace);
             match self.net.send_traced(
                 self.nid,
                 sender,
@@ -883,19 +931,11 @@ impl<'a> Session<'a> {
         // Ship the query.
         let qid = QueryId(self.next_query);
         self.next_query += 1;
-        let query_payload = Payload::Query {
+        let query = Payload::Query {
             id: qid,
             goal: goal.clone(),
         };
-        let query_trace = self.trace_msg();
-        let Ok(query_msg) = self.net.send_traced(
-            self.nid,
-            from,
-            to,
-            query_payload.clone(),
-            depth,
-            query_trace,
-        ) else {
+        let Some(sent) = self.send(from, to, query, depth) else {
             return Vec::new(); // topology/hop failure
         };
         if self.telemetry.enabled() {
@@ -917,15 +957,7 @@ impl<'a> Session<'a> {
                 ],
             );
         }
-        if !self.finish_delivery(
-            query_msg,
-            from,
-            to,
-            &query_payload,
-            depth,
-            "query",
-            query_trace,
-        ) {
+        if !self.deliver(sent, from, to, depth, "query") {
             self.record_refusal(Refusal {
                 peer: to,
                 requester: from,
@@ -957,120 +989,70 @@ impl<'a> Session<'a> {
             // Requester still symbolic) travels with the rule. Signatures
             // are unaffected: they cover the context-free canonical form.
             let sticky = self.cfg.sticky_policies;
-            let rules: Vec<SignedRule> = pushes
-                .iter()
-                .map(|(sr, _, _, raw)| SignedRule {
-                    rule: if sticky {
-                        let mut r = sr.rule.clone();
-                        if r.head_context.is_none() {
-                            r.head_context = Some(raw.clone());
-                        }
-                        r
-                    } else {
-                        sr.rule.strip_contexts()
-                    },
-                    signatures: sr.signatures.clone(),
+            let wire: Vec<(SignedRule, Context, Vec<Evidence>)> = pushes
+                .into_iter()
+                .map(|(mut sr, ctx, ev, raw)| {
+                    if !sticky {
+                        sr.rule.head_context = None;
+                        sr.rule.rule_context = None;
+                    } else if sr.rule.head_context.is_none() {
+                        sr.rule.head_context = raw;
+                    }
+                    (sr, ctx, ev)
                 })
                 .collect();
-            let push_payload = Payload::CredentialPush { rules };
-            let push_trace = self.trace_msg();
-            let delivered = match self.net.send_traced(
-                self.nid,
-                to,
-                from,
-                push_payload.clone(),
-                depth,
-                push_trace,
-            ) {
-                Ok(push_msg) => self.finish_delivery(
-                    push_msg,
-                    to,
-                    from,
-                    &push_payload,
-                    depth,
-                    "push",
-                    push_trace,
-                ),
-                Err(_) => false,
+            let push = Payload::CredentialPush {
+                rules: wire.iter().map(|(sr, _, _)| sr.clone()).collect(),
             };
             // The transport is authoritative: a rejected push (partition,
             // hop budget) means the recipient learns nothing.
-            for (sr, ctx, ev, raw) in pushes.into_iter().filter(|_| delivered) {
-                // What actually crossed the wire: the context-stripped
-                // form (paper §3.1). `Ok(false)` from receive_signed means
-                // the recipient already held the rule — the wire transfer
-                // still happened, and the ledger must record it so the
-                // recipient can later relay it (delegation chains).
-                let sticky = self.cfg.sticky_policies;
-                let wire = SignedRule {
-                    rule: if sticky {
-                        let mut r = sr.rule.clone();
-                        if r.head_context.is_none() {
-                            r.head_context = Some(raw.clone());
-                        }
-                        r
-                    } else {
-                        sr.rule.strip_contexts()
-                    },
-                    signatures: sr.signatures.clone(),
-                };
-                let accepted = self
+            let delivered = self.ship(to, from, push, depth, "push");
+            for (sr, ctx, ev) in wire.into_iter().filter(|_| delivered) {
+                // A rule the recipient already held still crossed the
+                // wire, and the ledger must record it so the recipient
+                // can later relay it (delegation chains). On a bad
+                // signature the recipient simply drops the rule.
+                let Ok(receipt) = self
                     .peers
                     .get_mut(from)
                     .expect("requester exists")
-                    .receive_signed_mode(wire.clone(), to, sticky);
-                // On a bad signature the recipient simply drops the rule.
-                if accepted.is_ok() {
-                    let ledger = self.received_rules.entry(from).or_default();
-                    if !ledger.iter().any(|(r, s)| *r == wire.rule && *s == to) {
-                        ledger.push((wire.rule.clone(), to));
-                        if let Some(ext) = crate::peer::sender_extended(&wire.rule, to) {
-                            self.received_rules.entry(from).or_default().push((ext, to));
-                        }
-                        let seq = self.disclosures.len();
-                        self.record_disclosure(Disclosure {
-                            seq,
-                            from: to,
-                            to: from,
-                            item: DisclosedItem::SignedRule(wire),
-                            context: ctx,
-                            evidence: ev,
-                        });
+                    .receive_signed_mode(&sr, to, sticky)
+                else {
+                    continue;
+                };
+                let ledger = self.received_rules.entry(from).or_default();
+                if !ledger.contains(&(receipt.id, to)) {
+                    ledger.push((receipt.id, to));
+                    if let Some(ext) = receipt.sender_extended {
+                        ledger.push((ext, to));
                     }
+                    let seq = self.disclosures.len();
+                    self.record_disclosure(Disclosure {
+                        seq,
+                        from: to,
+                        to: from,
+                        item: DisclosedItem::SignedRule(sr),
+                        context: ctx,
+                        evidence: ev,
+                    });
                 }
             }
         }
 
         // Ship the answers.
-        let answers_payload = Payload::Answers {
+        let reply = Payload::Answers {
             id: qid,
             goal: goal.clone(),
             answers: answers.iter().map(|(a, _, _)| a.clone()).collect(),
         };
-        let answers_trace = self.trace_msg();
-        let Ok(answers_msg) = self.net.send_traced(
-            self.nid,
-            to,
-            from,
-            answers_payload.clone(),
-            depth,
-            answers_trace,
-        ) else {
+        let Some(sent) = self.send(to, from, reply, depth) else {
             return Vec::new();
         };
         if self.telemetry.enabled() {
             self.telemetry
                 .incr(&format!("negotiation.queries_answered.{to}"), 1);
         }
-        if !self.finish_delivery(
-            answers_msg,
-            to,
-            from,
-            &answers_payload,
-            depth,
-            "answers",
-            answers_trace,
-        ) {
+        if !self.deliver(sent, to, from, depth, "answers") {
             self.record_refusal(Refusal {
                 peer: from,
                 requester: to,
@@ -1083,10 +1065,6 @@ impl<'a> Session<'a> {
         let mut accepted_answers = Vec::new();
         let all_public = answers.iter().all(|(_, ctx, _)| ctx.is_public());
         for (answer, ctx, ev) in answers {
-            self.received_answers
-                .entry(from)
-                .or_default()
-                .push((answer.clone(), to));
             let seq = self.disclosures.len();
             self.record_disclosure(Disclosure {
                 seq,
@@ -1100,16 +1078,11 @@ impl<'a> Session<'a> {
         }
 
         // Requester-side verification: third-party statements must be
-        // re-derivable from signed material.
-        let verify = self
-            .peers
-            .get(from)
-            .map(|p| p.config.verify_answers)
-            .unwrap_or(false);
+        // re-derivable from signed material. An answer from the authority
+        // itself is accepted on message authentication alone.
         let self_certified = goal.authority.is_empty() || goal.eval_peer() == Some(to);
         let mut any_dropped = false;
-        if verify && !self_certified {
-            let requester_peer = self.peers.get(from).expect("requester exists");
+        if let Some(requester_peer) = self.peers.get(from).filter(|_| !self_certified) {
             let signed_kb = requester_peer.signed_only_kb();
             let engine = requester_peer.config.engine;
             let mut dropped = Vec::new();
@@ -1143,20 +1116,21 @@ impl<'a> Session<'a> {
             self.telemetry.incr("negotiation.gem.cache_suppressed", 1);
         }
         if !accepted_answers.is_empty() && !gem_pending {
-            if self.cfg.cache_remote_answers {
-                self.session_answers
-                    .insert(cache_key.clone(), accepted_answers.clone());
-            }
             // Cross-negotiation entries must be replayable outside this
             // exchange: every answer publicly released and none dropped by
             // verification. Context-guarded answers never cross sessions.
             if let Some(cache) = self.answer_cache.filter(|_| all_public && !any_dropped) {
                 let kb_len = self.peers.get(to).map(|p| p.kb.len()).unwrap_or(0);
                 let now = self.net.now();
-                cache.insert(from, to, cache_key.2, accepted_answers.clone(), now, kb_len);
+                let goal = cache_key.2.clone();
+                cache.insert(from, to, goal, accepted_answers.clone(), now, kb_len);
                 if self.telemetry.enabled() {
                     self.telemetry.incr("negotiation.cache.inserts", 1);
                 }
+            }
+            if self.cfg.cache_remote_answers {
+                self.session_answers
+                    .insert(cache_key, accepted_answers.clone());
             }
         }
         accepted_answers
@@ -1204,7 +1178,7 @@ impl<'a> Session<'a> {
             goal: goal.clone(),
             context: stack,
         };
-        if !self.gem_ship(from, to, query, depth, "gem-query") {
+        if !self.ship(from, to, query, depth, "gem-query") {
             self.record_refusal(Refusal {
                 peer: to,
                 requester: from,
@@ -1222,7 +1196,7 @@ impl<'a> Session<'a> {
             round,
             answers: answers.clone(),
         };
-        let delivered = self.gem_ship(to, from, reply, depth, "gem-answers");
+        let delivered = self.ship(to, from, reply, depth, "gem-answers");
         self.trace_pop(span);
         // The transport is authoritative: if the tabled answers never
         // reached the consumer, its evaluation proceeds without them.
@@ -1230,27 +1204,6 @@ impl<'a> Session<'a> {
             answers
         } else {
             Vec::new()
-        }
-    }
-
-    /// Ship one GEM coordination message through the standard traced and
-    /// supervised delivery path — fault lanes, deadlines, retries, and
-    /// causal tracing behave exactly as for queries and answers.
-    fn gem_ship(
-        &mut self,
-        sender: PeerId,
-        recipient: PeerId,
-        payload: Payload,
-        depth: u32,
-        kind: &'static str,
-    ) -> bool {
-        let trace = self.trace_msg();
-        match self
-            .net
-            .send_traced(self.nid, sender, recipient, payload.clone(), depth, trace)
-        {
-            Ok(id) => self.finish_delivery(id, sender, recipient, &payload, depth, kind, trace),
-            Err(_) => false,
         }
     }
 
@@ -1264,7 +1217,6 @@ impl<'a> Session<'a> {
     /// Round order is derived from peer names and edge discovery sequence
     /// numbers — never from hash or symbol-intern order — so batch runs
     /// stay bit-identical across worker counts.
-    #[allow(clippy::type_complexity)]
     fn gem_fixpoint(
         &mut self,
         from: PeerId,
@@ -1272,10 +1224,7 @@ impl<'a> Session<'a> {
         goal: &Literal,
         depth: u32,
         key: &(PeerId, Literal),
-    ) -> Option<(
-        Vec<(Literal, Context, Vec<Evidence>)>,
-        Vec<(SignedRule, Context, Vec<Evidence>, Context)>,
-    )> {
+    ) -> Option<(Vec<Reply>, Vec<Push>)> {
         self.gem.scc_index_by_anchor(key)?;
         let span = self.trace_push(format_args!("gem fixpoint {goal}"), to, "gem");
         loop {
@@ -1323,7 +1272,7 @@ impl<'a> Session<'a> {
                         round,
                         answers: lits,
                     };
-                    let _ = self.gem_ship(e.responder, e.consumer, payload, e.depth, "gem-answers");
+                    let _ = self.ship(e.responder, e.consumer, payload, e.depth, "gem-answers");
                 }
             }
             self.trace_pop(rspan);
@@ -1369,7 +1318,7 @@ impl<'a> Session<'a> {
                 goal: key.1.clone(),
                 rounds: scc.rounds,
             };
-            let _ = self.gem_ship(leader, peer, payload, depth, "gem-complete");
+            let _ = self.ship(leader, peer, payload, depth, "gem-complete");
         }
         self.trace_pop(span);
         Some(result)
@@ -1378,17 +1327,13 @@ impl<'a> Session<'a> {
     /// Evaluate `goal` at `responder` on behalf of `requester`, applying
     /// effort policy and release policies. Returns released answers and the
     /// signed rules to push, each with the licensing context and evidence.
-    #[allow(clippy::type_complexity)]
     fn respond(
         &mut self,
         responder: PeerId,
         requester: PeerId,
         goal: &Literal,
         depth: u32,
-    ) -> (
-        Vec<(Literal, Context, Vec<Evidence>)>,
-        Vec<(SignedRule, Context, Vec<Evidence>, Context)>,
-    ) {
+    ) -> (Vec<Reply>, Vec<Push>) {
         let Some(peer) = self.peers.get(responder) else {
             return (Vec::new(), Vec::new());
         };
@@ -1431,8 +1376,8 @@ impl<'a> Session<'a> {
             solver.solve(std::slice::from_ref(goal))
         };
 
-        let mut answers: Vec<(Literal, Context, Vec<Evidence>)> = Vec::new();
-        let mut pushes: Vec<(SignedRule, Context, Vec<Evidence>, Context)> = Vec::new();
+        let mut answers: Vec<Reply> = Vec::new();
+        let mut pushes: Vec<Push> = Vec::new();
 
         for sol in solutions {
             let proof = &sol.proofs[0];
@@ -1450,6 +1395,7 @@ impl<'a> Session<'a> {
                     evidence,
                 } => {
                     // The certified proof: push every signed rule it uses.
+                    let sticky = self.cfg.sticky_policies;
                     let peer = self.peers.get(responder).expect("responder exists");
                     for rid in proof.used_rules() {
                         if let Some(sr) = peer.signed_rule(rid) {
@@ -1467,72 +1413,67 @@ impl<'a> Session<'a> {
                                 sr.clone(),
                                 context.clone(),
                                 evidence.clone(),
-                                raw_context.clone(),
+                                sticky.then(|| raw_context.clone()),
                             ));
                         }
                     }
                     // Relay the signed rules backing remote answers so the
                     // requester can verify multi-hop delegation chains.
-                    if peer.config.relay_received {
-                        for (p, _a) in proof.remote_dependencies() {
-                            // No point relaying a peer's own statements
-                            // back to it.
-                            if p == requester {
+                    let ledger = self
+                        .received_rules
+                        .get(&responder)
+                        .map_or(&[][..], Vec::as_slice);
+                    for (p, _a) in proof.remote_dependencies() {
+                        // No point relaying a peer's own statements back
+                        // to it.
+                        if p == requester {
+                            continue;
+                        }
+                        for &(id, _) in ledger.iter().filter(|(_, sender)| *sender == p) {
+                            let (Some(stored), Some(sr)) = (peer.kb.get(id), peer.signed_rule(id))
+                            else {
+                                continue;
+                            };
+                            let rule = stored.rule.as_ref();
+                            if !rule.is_signed()
+                                || pushes.iter().any(|(pr, _, _, _)| pr.rule == *rule)
+                            {
                                 continue;
                             }
-                            let relayable: Vec<peertrust_core::Rule> = self
-                                .received_rules
-                                .get(&responder)
-                                .map(|l| {
-                                    l.iter()
-                                        .filter(|(r, sender)| *sender == p && r.is_signed())
-                                        .map(|(r, _)| r.clone())
-                                        .collect()
-                                })
-                                .unwrap_or_default();
-                            let sticky = self.cfg.sticky_policies;
-                            let peer = self.peers.get(responder).expect("responder exists");
-                            for rule in relayable {
-                                if pushes.iter().any(|(pr, _, _, _)| pr.rule == rule) {
-                                    continue;
-                                }
-                                // Sticky policies: the originator's retained
-                                // head context must hold for the NEW
-                                // recipient before this peer may relay.
-                                if sticky {
-                                    if let Some(ctx) = &rule.head_context {
-                                        if ctx.is_default_private() {
+                            // Sticky policies: the originator's retained
+                            // head context must hold for the NEW recipient
+                            // before this peer may relay.
+                            if sticky {
+                                if let Some(ctx) = &rule.head_context {
+                                    if ctx.is_default_private() {
+                                        continue;
+                                    }
+                                    if !ctx.is_public() {
+                                        let goals = ctx.instantiate(requester, responder);
+                                        let mut cfg = peer.config.engine;
+                                        cfg.remote_fallback =
+                                            peertrust_engine::RemoteFallback::Never;
+                                        let mut solver =
+                                            Solver::new(&peer.kb, responder).with_config(cfg);
+                                        if !solver.provable(&goals) {
                                             continue;
-                                        }
-                                        if !ctx.is_public() {
-                                            let goals = ctx.instantiate(requester, responder);
-                                            let mut cfg = peer.config.engine;
-                                            cfg.remote_fallback =
-                                                peertrust_engine::RemoteFallback::Never;
-                                            let mut solver =
-                                                Solver::new(&peer.kb, responder).with_config(cfg);
-                                            if !solver.provable(&goals) {
-                                                continue;
-                                            }
                                         }
                                     }
                                 }
-                                if let Some(sr) = peer.signed_rule_for(&rule) {
-                                    // Relays keep whatever context the rule
-                                    // arrived with (retained in sticky mode).
-                                    let raw =
-                                        rule.head_context.clone().unwrap_or_else(Context::public);
-                                    pushes.push((
-                                        sr.clone(),
-                                        Context::public(),
-                                        vec![Evidence::ReceivedRule {
-                                            from: p,
-                                            rule: rule.clone(),
-                                        }],
-                                        raw,
-                                    ));
-                                }
                             }
+                            // Relays keep whatever context the rule arrived
+                            // with (retained in sticky mode).
+                            let raw = sticky
+                                .then(|| rule.head_context.clone().unwrap_or_else(Context::public));
+                            pushes.push((
+                                sr.clone(),
+                                Context::public(),
+                                vec![Evidence::ReceivedRule {
+                                    from: p,
+                                    rule: rule.clone(),
+                                }],
+                                raw,
+                            ));
                         }
                     }
                     answers.push((answer, context, evidence));
@@ -1638,33 +1579,22 @@ impl<'a> Session<'a> {
                 evidence: Vec::new(),
             };
         }
-        let responder_peer = self.peers.get(responder).expect("responder exists");
-        let engine_cfg = responder_peer.config.engine;
-        let candidates: Vec<(peertrust_core::RuleId, peertrust_core::Rule)> = kb
-            .candidates(answer)
-            .map(|sr| (sr.id, sr.rule.as_ref().clone()))
-            .collect();
-
-        // §3.2 self-closure: a chainless answer is equivalent to
-        // `answer @ responder`, so licensing rules written with the
-        // explicit authority also apply.
-        let extended = answer.clone().at(peertrust_core::Term::peer(responder));
-        for (id, rule) in candidates {
-            self.rename_seq += 1;
-            let renamed = rule.rename_apart(self.rename_seq);
-            let mut s = Subst::new();
-            if !peertrust_core::unify_literals(&renamed.head, answer, &mut s) {
-                s = Subst::new();
-                if answer.eval_peer() == Some(responder)
-                    || !peertrust_core::unify_literals(&renamed.head, &extended, &mut s)
-                {
-                    continue;
-                }
-            }
-            let ctx = renamed.effective_head_context().apply(&s);
-            if ctx.is_default_private() {
-                continue; // not a licensing rule for outsiders
-            }
+        let engine_cfg = self
+            .peers
+            .get(responder)
+            .expect("responder exists")
+            .config
+            .engine;
+        let closure = self_closure(answer, responder);
+        for candidate in kb.candidates(answer) {
+            let Some(LicensingRule { context: ctx, body }) = licensing_rule(
+                &candidate.rule,
+                answer,
+                closure.as_ref(),
+                &mut self.rename_seq,
+            ) else {
+                continue;
+            };
 
             let mut evidence = Vec::new();
             let mut ctx_goals = Vec::new();
@@ -1693,9 +1623,8 @@ impl<'a> Session<'a> {
             // answer, or when the body is exactly the answer itself (the
             // release pattern `p $ ctx <- p` — the answer's own derivation
             // already witnessed it).
-            let body: Vec<Literal> = renamed.body.iter().map(|b| s.apply_literal(b)).collect();
             let body_is_answer = body.len() == 1 && body[0] == *answer;
-            if Some(id) != root_id && !renamed.body.is_empty() && !body_is_answer {
+            if Some(candidate.id) != root_id && !body.is_empty() && !body_is_answer {
                 let ok = {
                     let telemetry = self.telemetry.clone();
                     let mut hook = SessionHook {
@@ -1735,6 +1664,65 @@ impl<'a> Session<'a> {
     }
 }
 
+/// A licensing reading of one candidate rule (see [`licensing_rule`]).
+pub(crate) struct LicensingRule {
+    /// Its head context, renamed apart and instantiated by the head's
+    /// unifier: the release condition to prove.
+    pub(crate) context: Context,
+    /// Its body, renamed apart and instantiated the same way.
+    pub(crate) body: Vec<Literal>,
+}
+
+/// The §3.2 self-closure of a chainless `answer` at `owner`: the same
+/// statement as `answer @ owner`, so licensing rules written with the
+/// owner's explicit authority also apply. `None` when the answer already
+/// ends in `@ owner`.
+pub(crate) fn self_closure(answer: &Literal, owner: PeerId) -> Option<Literal> {
+    (answer.eval_peer() != Some(owner)).then(|| answer.clone().at(Term::peer(owner)))
+}
+
+/// Read `rule` as a licensing rule for `answer` — §3.1's release-policy
+/// pattern `p(X...) $ ctx <- ...`: its head must unify with `answer` or
+/// with `closure` (from [`self_closure`]), and its head context under
+/// that unifier must not be the private default. Each call draws one
+/// standardize-apart version from `rename_seq`, matched or not, so the
+/// versions in recorded contexts do not depend on which candidates were
+/// skipped; only the parts licensing reads (head, head context, body) are
+/// renamed, and only once the rule is known to carry a head context.
+/// Shared by the session's and the eager driver's licensing scans.
+pub(crate) fn licensing_rule(
+    rule: &Rule,
+    answer: &Literal,
+    closure: Option<&Literal>,
+    rename_seq: &mut u32,
+) -> Option<LicensingRule> {
+    *rename_seq += 1;
+    // No head context is the private default: not a licensing rule for
+    // outsiders.
+    let head_context = rule.head_context.as_ref()?;
+    let version = *rename_seq;
+    let mut rename = |v: Var| Term::Var(Var::versioned(v.name, version));
+    let head = rule.head.map_vars(&mut rename);
+    let mut subst = Subst::new();
+    if !peertrust_core::unify_literals(&head, answer, &mut subst) {
+        let closure = closure?;
+        subst = Subst::new();
+        if !peertrust_core::unify_literals(&head, closure, &mut subst) {
+            return None;
+        }
+    }
+    let context = head_context.map_vars(&mut rename).apply(&subst);
+    if context.is_default_private() {
+        return None;
+    }
+    let body = rule
+        .body
+        .iter()
+        .map(|b| subst.apply_literal(&b.map_vars(&mut rename)))
+        .collect();
+    Some(LicensingRule { context, body })
+}
+
 /// Classify the rules and remote answers used in proofs as disclosure
 /// evidence: rules received during this negotiation (per `ledger`) become
 /// [`Evidence::ReceivedRule`], everything else [`Evidence::Initial`];
@@ -1742,7 +1730,7 @@ impl<'a> Session<'a> {
 /// parsimonious and eager drivers.
 pub(crate) fn classify_evidence(
     peer: &NegotiationPeer,
-    ledger: Option<&[(peertrust_core::Rule, PeerId)]>,
+    ledger: Option<&[(RuleId, PeerId)]>,
     proofs: &[Proof],
 ) -> Vec<Evidence> {
     let mut evidence = Vec::new();
@@ -1750,9 +1738,7 @@ pub(crate) fn classify_evidence(
         for rid in proof.used_rules() {
             if let Some(sr) = peer.kb.get(rid) {
                 let rule = sr.rule.as_ref().clone();
-                let session_received = ledger
-                    .map(|l| l.iter().find(|(r, _)| *r == rule))
-                    .unwrap_or(None);
+                let session_received = ledger.and_then(|l| l.iter().find(|(id, _)| *id == rid));
                 let ev = match session_received {
                     Some((_, from)) => Evidence::ReceivedRule { from: *from, rule },
                     None => Evidence::Initial(rule),
@@ -1849,6 +1835,82 @@ mod tests {
         peers.insert(alice);
 
         peers
+    }
+
+    /// Evidence cites what its owner received during this negotiation,
+    /// looked up by the rule id the receipt reported. Here S proves a
+    /// release context from the sender-extended fact of a credential C
+    /// pushed earlier in the same negotiation, so the evidence names C as
+    /// its source rather than calling it initial knowledge.
+    #[test]
+    fn context_evidence_cites_a_received_sender_extended_fact() {
+        let reg = registry();
+        let mut peers = PeerMap::new();
+        let mut s = NegotiationPeer::new("S", reg.clone());
+        s.load_program(
+            r#"
+            resource(X) $ true <- student(X) @ "UIUC" @ X, check(X) @ X.
+            ok(Y) $ student(Requester) @ "UIUC" @ Requester.
+            "#,
+        )
+        .unwrap();
+        peers.insert(s);
+        let mut c = NegotiationPeer::new("C", reg);
+        c.load_program(
+            r#"
+            student("C") @ "UIUC" $ true signedBy ["UIUC"].
+            check(Y) $ true <- ok(Y) @ "S".
+            "#,
+        )
+        .unwrap();
+        peers.insert(c);
+
+        let out = run(&mut peers, "C", "S", r#"resource("C")"#);
+        assert!(out.success, "refusals: {:#?}", out.refusals);
+        verify_safe_sequence(&out).unwrap();
+        let ok = out
+            .disclosures
+            .iter()
+            .find(|d| matches!(&d.item, DisclosedItem::Answer(a) if a.pred.as_str() == "ok"))
+            .expect("S released ok(C)");
+        let extended = Rule::fact(parse_literal(r#"student("C") @ "UIUC" @ "C""#).unwrap());
+        assert_eq!(
+            ok.evidence,
+            vec![Evidence::ReceivedRule {
+                from: PeerId::new("C"),
+                rule: extended,
+            }]
+        );
+    }
+
+    /// Every candidate draws one standardize-apart version, whether or
+    /// not it licenses, and a licensing rule's variables carry exactly
+    /// that version into the recorded context and the body.
+    #[test]
+    fn licensing_rule_draws_one_version_per_candidate() {
+        let rules = peertrust_parser::parse_program(
+            r#"
+            p(1).
+            p(X) $ q(X, Z) <- r(X, Z).
+            p(X) @ "S" $ true.
+            "#,
+        )
+        .unwrap();
+        let answer = parse_literal("p(1)").unwrap();
+        let closure = self_closure(&answer, PeerId::new("S"));
+        let mut seq = 6;
+        assert!(licensing_rule(&rules[0], &answer, closure.as_ref(), &mut seq).is_none());
+        assert_eq!(seq, 7, "skipped without a head context, still counted");
+        let lic = licensing_rule(&rules[1], &answer, closure.as_ref(), &mut seq).unwrap();
+        assert_eq!(seq, 8);
+        let z = Term::Var(Var::versioned("Z", 8));
+        let q = Literal::new("q", vec![Term::int(1), z.clone()]);
+        assert_eq!(lic.context, Context { goals: vec![q] });
+        assert_eq!(lic.body, vec![Literal::new("r", vec![Term::int(1), z])]);
+        // The third rule licenses `p(1)` through its self-closure `p(1) @ "S"`.
+        let lic = licensing_rule(&rules[2], &answer, closure.as_ref(), &mut seq).unwrap();
+        assert_eq!((seq, lic.context.is_public(), lic.body.len()), (9, true, 0));
+        assert!(licensing_rule(&rules[2], &answer, None, &mut seq).is_none());
     }
 
     #[test]

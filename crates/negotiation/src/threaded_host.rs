@@ -221,7 +221,7 @@ fn requester_loop(
             }
             Payload::CredentialPush { rules } => {
                 for sr in rules {
-                    let _ = peer.receive_signed(sr, responder);
+                    let _ = peer.receive_signed(&sr, responder);
                 }
                 let pushes = new_disclosures(&peer, responder, &mut sent);
                 record_pushes(&mut disclosures, me, responder, &pushes);
@@ -257,7 +257,7 @@ fn responder_loop(
             Payload::CredentialPush { rules } => {
                 let inbound = rules.len();
                 for sr in rules {
-                    let _ = peer.receive_signed(sr, requester);
+                    let _ = peer.receive_signed(&sr, requester);
                 }
                 // Success check after absorbing the requester's turn.
                 if let Some(g) = &goal {

@@ -331,7 +331,7 @@ mod tests {
             peers
                 .get_mut(PeerId::new("E-Learn"))
                 .unwrap()
-                .receive_signed(sr, PeerId::new("IBM"))
+                .receive_signed(&sr, PeerId::new("IBM"))
                 .unwrap();
         }
 
@@ -380,7 +380,7 @@ mod tests {
             peers
                 .get_mut(PeerId::new("E-Learn"))
                 .unwrap()
-                .receive_signed(sr, PeerId::new("IBM"))
+                .receive_signed(&sr, PeerId::new("IBM"))
                 .unwrap();
         }
 

@@ -14,6 +14,14 @@
 //! `BENCH_BASELINE.json`, `e17_gem_mesh` or `e18_serving` is >3x over
 //! it, or any deterministic work counter (resolution steps, serving
 //! admission decisions) differs from its baseline at all.
+//!
+//! `cargo xtask soak [--rounds N] [--seed BASE]` runs the workspace tests
+//! N times (default 8) with `PROPTEST_SEED` = BASE + round and
+//! `PROPTEST_CASES` raised to [`SOAK_CASES`], so the property tests
+//! explore new inputs on every round. BASE defaults to the clock. Each
+//! round runs every test binary (`--no-fail-fast`); a failing round
+//! prints its seed and the command that replays it. The soak is not part
+//! of `verify` or CI: its inputs change run to run.
 
 use std::process::Command;
 
@@ -160,16 +168,67 @@ const STEPS: &[Step] = &[
     ),
 ];
 
+const USAGE: &str =
+    "usage: cargo xtask <verify | bench [--quick] | soak [--rounds N] [--seed BASE]>";
+
+/// Property-test cases per test in each soak round (the default is 256).
+const SOAK_CASES: u32 = 1024;
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("verify") => verify(),
         Some("bench") => bench(args.iter().any(|a| a == "--quick")),
+        Some("soak") => soak(&args[1..]),
         _ => {
-            eprintln!("usage: cargo xtask <verify | bench [--quick]>");
+            eprintln!("{USAGE}");
             std::process::exit(2);
         }
     }
+}
+
+/// Run the workspace tests once per round under a fresh proptest seed.
+fn soak(args: &[String]) {
+    let (mut rounds, mut base) = (8u64, None);
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
+        match (flag.as_str(), it.next().and_then(|v| v.parse().ok())) {
+            ("--rounds", Some(n)) => rounds = n,
+            ("--seed", Some(n)) => base = Some(n),
+            _ => {
+                eprintln!("xtask soak: bad argument {flag}\n{USAGE}");
+                std::process::exit(2);
+            }
+        }
+    }
+    let base = base.unwrap_or_else(|| {
+        std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map_or(0, |d| d.as_secs())
+    });
+    let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
+    println!("== xtask soak: {rounds} rounds from seed {base}, {SOAK_CASES} cases ==");
+    for round in 0..rounds {
+        let seed = base.wrapping_add(round);
+        println!("== xtask soak: round {round}, PROPTEST_SEED={seed} ==");
+        let status = Command::new(&cargo)
+            .args(["test", "-q", "--no-fail-fast"])
+            .env("PROPTEST_SEED", seed.to_string())
+            .env("PROPTEST_CASES", SOAK_CASES.to_string())
+            .status()
+            .unwrap_or_else(|e| {
+                eprintln!("xtask soak: failed to spawn cargo: {e}");
+                std::process::exit(1);
+            });
+        if !status.success() {
+            eprintln!(
+                "xtask soak: round {round} failed with PROPTEST_SEED={seed}; replay with\n  \
+                 PROPTEST_SEED={seed} PROPTEST_CASES={SOAK_CASES} cargo test -q"
+            );
+            std::process::exit(status.code().unwrap_or(1));
+        }
+    }
+    println!("xtask soak: {rounds} rounds passed");
 }
 
 /// Run the quickbench harness: the `target/BENCH.json` artifact and hard

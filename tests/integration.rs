@@ -3,7 +3,7 @@
 //! and multi-negotiation accounting on a shared network.
 
 use peertrust::core::{Literal, PeerId, Term};
-use peertrust::crypto::KeyRegistry;
+use peertrust::crypto::{sha256::to_hex, sha256_digest, KeyRegistry};
 use peertrust::negotiation::{
     negotiate, negotiate_threaded, verify_safe_sequence, NegotiateOptions, NegotiationPeer,
     PeerMap, RefusalReason, ResilienceConfig, SharedRemoteAnswerCache, Strategy, MAX_HOP_DEPTH,
@@ -264,6 +264,46 @@ fn hop_depth_guard_refuses_the_first_chain_past_the_budget() {
 /// fresh shared one) × delivery supervision (none | the default over a
 /// none-plan fault lane) × telemetry (off | on) — reaches the outcome of
 /// the plain run, byte for byte, on scenario 1 and on `chain(4)`.
+/// Every credential receipt re-verifies its signatures (§3.1), but the
+/// registry remembers tags that already verified under its current keys.
+/// On fresh clones of one frozen `chain(32)` map, the first negotiation
+/// runs one HMAC check per pushed credential and a second runs none, and
+/// both produce the outcome the driver produced before the memo existed.
+#[test]
+fn repeated_negotiations_check_each_credential_signature_once() {
+    let w = chain(32);
+    let mut base = w.peers.clone();
+    base.freeze();
+    let run = || {
+        let mut peers = base.clone();
+        let mut net = SimNetwork::new(1);
+        let (out, _) = negotiate(
+            &mut peers,
+            &mut net,
+            &NegotiateOptions::default(),
+            NegotiationId(1),
+            w.requester,
+            w.responder,
+            w.goal.clone(),
+        );
+        assert!(out.success);
+        assert_eq!(out.credential_count(), 32);
+        serde_json::to_string(&out).unwrap()
+    };
+    let checks0 = w.registry.hmac_checks();
+    let first = run();
+    assert_eq!(w.registry.hmac_checks() - checks0, 32, "first negotiation");
+    let second = run();
+    assert_eq!(w.registry.hmac_checks() - checks0, 32, "second negotiation");
+    assert_eq!(first, second);
+    // SHA-256 of the serialized outcome before verified tags were
+    // memoized.
+    assert_eq!(
+        to_hex(&sha256_digest(first.as_bytes())),
+        "f06aed76627a42a13190918192a34640ffc9dffbbca117c71e3f14ef1549ce4f"
+    );
+}
+
 #[test]
 fn every_negotiate_option_combination_matches_the_plain_run() {
     type Case = (PeerMap, PeerId, PeerId, Literal);
