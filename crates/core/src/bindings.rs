@@ -35,9 +35,11 @@
 
 use crate::hash::FxHashMap;
 use crate::literal::Literal;
+use crate::rule::Renaming;
 use crate::subst::Subst;
-use crate::term::{Term, Var};
+use crate::term::{map_terms_cow, Term, Var};
 use crate::unify::UnifyOptions;
+use std::borrow::Cow;
 use std::fmt;
 
 /// A mark into the undo trail; obtained from [`Bindings::checkpoint`]
@@ -212,20 +214,7 @@ impl Bindings {
                 Some(self.resolve_opt(w).unwrap_or_else(|| w.clone()))
             }
             Term::Compound(f, args) => {
-                let mut rebuilt: Option<Vec<Term>> = None;
-                for (i, a) in args.iter().enumerate() {
-                    match self.resolve_opt(a) {
-                        Some(changed) => rebuilt
-                            .get_or_insert_with(|| args[..i].to_vec())
-                            .push(changed),
-                        None => {
-                            if let Some(v) = rebuilt.as_mut() {
-                                v.push(a.clone());
-                            }
-                        }
-                    }
-                }
-                rebuilt.map(|v| Term::Compound(*f, v.into()))
+                map_terms_cow(args, |a| self.resolve_opt(a)).map(|v| Term::Compound(*f, v.into()))
             }
         }
     }
@@ -233,14 +222,26 @@ impl Bindings {
     /// Apply to every argument and authority of a literal, with the same
     /// sharing discipline as [`Bindings::apply`].
     pub fn apply_literal(&self, l: &Literal) -> Literal {
-        if self.trail.is_empty() || l.is_ground() {
-            return l.clone();
+        self.apply_literal_cow(l).into_owned()
+    }
+
+    /// Copy-on-write [`Bindings::apply_literal`]: borrows `l` when none
+    /// of its variables is bound, instead of copying it. The solver
+    /// resolves every selected goal through this.
+    pub fn apply_literal_cow<'l>(&self, l: &'l Literal) -> Cow<'l, Literal> {
+        if self.trail.is_empty() {
+            return Cow::Borrowed(l);
         }
-        Literal {
+        let args = map_terms_cow(&l.args, |t| self.resolve_opt(t));
+        let authority = map_terms_cow(&l.authority, |t| self.resolve_opt(t));
+        if args.is_none() && authority.is_none() {
+            return Cow::Borrowed(l);
+        }
+        Cow::Owned(Literal {
             pred: l.pred,
-            args: l.args.iter().map(|t| self.apply(t)).collect(),
-            authority: l.authority.iter().map(|t| self.apply(t)).collect(),
-        }
+            args: args.unwrap_or_else(|| l.args.clone()),
+            authority: authority.unwrap_or_else(|| l.authority.clone()),
+        })
     }
 
     /// [`Bindings::apply`] with a memo over a *frozen* store: every
@@ -277,22 +278,8 @@ impl Bindings {
                 cache.map.insert(*v, res.clone());
                 res
             }
-            Term::Compound(f, args) => {
-                let mut rebuilt: Option<Vec<Term>> = None;
-                for (i, a) in args.iter().enumerate() {
-                    match self.resolve_memo_opt(a, cache) {
-                        Some(changed) => rebuilt
-                            .get_or_insert_with(|| args[..i].to_vec())
-                            .push(changed),
-                        None => {
-                            if let Some(v) = rebuilt.as_mut() {
-                                v.push(a.clone());
-                            }
-                        }
-                    }
-                }
-                rebuilt.map(|v| Term::Compound(*f, v.into()))
-            }
+            Term::Compound(f, args) => map_terms_cow(args, |a| self.resolve_memo_opt(a, cache))
+                .map(|v| Term::Compound(*f, v.into())),
         }
     }
 
@@ -311,24 +298,8 @@ impl Bindings {
         if self.trail.is_empty() || l.is_ground() {
             return None;
         }
-        let resolve_all = |ts: &[Term], cache: &mut ResolveCache| -> Option<Vec<Term>> {
-            let mut rebuilt: Option<Vec<Term>> = None;
-            for (i, t) in ts.iter().enumerate() {
-                match self.resolve_memo_opt(t, cache) {
-                    Some(changed) => rebuilt
-                        .get_or_insert_with(|| ts[..i].to_vec())
-                        .push(changed),
-                    None => {
-                        if let Some(v) = rebuilt.as_mut() {
-                            v.push(t.clone());
-                        }
-                    }
-                }
-            }
-            rebuilt
-        };
-        let args = resolve_all(&l.args, cache);
-        let authority = resolve_all(&l.authority, cache);
+        let args = map_terms_cow(&l.args, |t| self.resolve_memo_opt(t, cache));
+        let authority = map_terms_cow(&l.authority, |t| self.resolve_memo_opt(t, cache));
         if args.is_none() && authority.is_none() {
             return None;
         }
@@ -452,6 +423,78 @@ pub fn unify_literals_in(a: &Literal, b: &Literal, bs: &mut Bindings) -> bool {
         bs.rollback(cp);
     }
     ok
+}
+
+/// [`unify_literals_in`] against a rule head standardized apart by
+/// `ren`, without building the renamed head: each head variable is read
+/// as its renamed version when unification reaches it, and a head
+/// subterm is renamed only when a goal variable binds to it. The unify
+/// steps, bindings, checkpoint and rollback are exactly those of
+/// `unify_literals_in(&renamed.head, target, bs)`, where `renamed` is
+/// [`crate::rule::Rule::rename_apart_indexed`] from the same counter, so
+/// the store ends in the same state, trail included (proptested).
+pub fn unify_head_in(
+    head: &Literal,
+    ren: Renaming<'_>,
+    target: &Literal,
+    bs: &mut Bindings,
+) -> bool {
+    if head.pred != target.pred
+        || head.args.len() != target.args.len()
+        || head.authority.len() != target.authority.len()
+    {
+        return false;
+    }
+    let opts = UnifyOptions::default();
+    let cp = bs.checkpoint();
+    let ok = head
+        .args
+        .iter()
+        .zip(&target.args)
+        .chain(head.authority.iter().zip(&target.authority))
+        .all(|(h, t)| unify_renamed_raw(h, ren, t, bs, opts));
+    if !ok {
+        bs.rollback(cp);
+    }
+    ok
+}
+
+/// [`unify_raw`] with the left side renamed by `ren` as it is read.
+fn unify_renamed_raw(
+    h: &Term,
+    ren: Renaming<'_>,
+    b: &Term,
+    bs: &mut Bindings,
+    opts: UnifyOptions,
+) -> bool {
+    match h {
+        Term::Var(v) => unify_raw(&Term::Var(ren.var(*v)), b, bs, opts),
+        // A renamed compound is never a variable, so `unify_raw` would
+        // either bind a goal variable to it or descend pairwise.
+        Term::Compound(f, xs) => match bs.walk(b) {
+            Term::Var(y) => {
+                let y = *y;
+                let t = ren.term(h);
+                if opts.occurs_check && occurs_resolved_in(&y, &t, bs) {
+                    return false;
+                }
+                bs.bind(y, t);
+                true
+            }
+            Term::Compound(g, ys) => {
+                if f != g || xs.len() != ys.len() {
+                    return false;
+                }
+                let ys = ys.clone();
+                xs.iter()
+                    .zip(ys.iter())
+                    .all(|(x, y)| unify_renamed_raw(x, ren, y, bs, opts))
+            }
+            _ => false,
+        },
+        // Constants read the same under any renaming.
+        Term::Atom(_) | Term::Str(_) | Term::Int(_) => unify_raw(h, b, bs, opts),
+    }
 }
 
 /// The destructive unification core; may leave partial bindings behind

@@ -19,11 +19,11 @@
 //! clause ids are globally numbered, so candidate order and rule ids are
 //! identical to the unsplit representation.
 
+use crate::hash::{FxHashMap, FxHashSet};
 use crate::literal::Literal;
 use crate::rule::{Rule, RuleId};
 use crate::symbol::{PeerId, Sym};
-use crate::term::{IndexKey, Term};
-use std::collections::HashMap;
+use crate::term::{IndexKey, Term, Var};
 use std::fmt;
 use std::sync::Arc;
 
@@ -42,6 +42,20 @@ pub struct StoredRule {
     pub id: RuleId,
     pub rule: Arc<Rule>,
     pub origin: RuleOrigin,
+    /// `rule.vars()`, computed once at insert (empty, and unallocated,
+    /// for ground facts).
+    vars: Box<[Var]>,
+}
+
+impl StoredRule {
+    /// The rule's distinct variables in first-occurrence order — head,
+    /// then contexts, then body: the order in which
+    /// [`Rule::rename_apart_indexed`] numbers them, so a
+    /// [`crate::rule::Renaming`] over this list gives the same versions
+    /// without copying the rule.
+    pub fn vars(&self) -> &[Var] {
+        &self.vars
+    }
 }
 
 /// One contiguous run of rules with its clause indexes. Clause ids stored
@@ -50,11 +64,15 @@ pub struct StoredRule {
 #[derive(Clone, Default, Debug)]
 struct KbSegment {
     rules: Vec<StoredRule>,
-    index: HashMap<(Sym, usize), Vec<usize>>,
+    // Fx, not SipHash: the keys are interner ids and small integers of
+    // rules this peer loaded or verified, probed once per goal selection.
+    index: FxHashMap<(Sym, usize), Vec<usize>>,
     /// (functor, first-arg key) -> clause ids with that ground first arg.
-    first_arg: HashMap<(Sym, usize, IndexKey), Vec<usize>>,
+    first_arg: FxHashMap<(Sym, usize, IndexKey), Vec<usize>>,
     /// functor -> clause ids whose first head arg is a variable (or arity 0).
-    var_headed: HashMap<(Sym, usize), Vec<usize>>,
+    var_headed: FxHashMap<(Sym, usize), Vec<usize>>,
+    /// Functors with at least one clause whose head carries an authority.
+    authority_headed: FxHashSet<(Sym, usize)>,
     /// Distinct predicates *first defined in this segment*, kept sorted
     /// incrementally on insert so [`KnowledgeBase::predicates`] never
     /// re-collects and re-sorts the whole index (callers poll it per
@@ -139,6 +157,7 @@ impl KnowledgeBase {
                 for (k, v) in overlay.var_headed {
                     m.var_headed.entry(k).or_default().extend(v);
                 }
+                m.authority_headed.extend(overlay.authority_headed);
                 if !overlay.sorted_predicates.is_empty() {
                     m.sorted_predicates =
                         merge_sorted_keys(&m.sorted_predicates, &overlay.sorted_predicates);
@@ -174,7 +193,16 @@ impl KnowledgeBase {
                 .push(idx),
             None => self.overlay.var_headed.entry(key).or_default().push(idx),
         }
-        self.overlay.rules.push(StoredRule { id, rule, origin });
+        if !rule.head.authority.is_empty() {
+            self.overlay.authority_headed.insert(key);
+        }
+        let vars = rule.vars().into_boxed_slice();
+        self.overlay.rules.push(StoredRule {
+            id,
+            rule,
+            origin,
+            vars,
+        });
         let known_in_base = self
             .base
             .as_ref()
@@ -290,6 +318,17 @@ impl KnowledgeBase {
             }
         };
         ids.map(move |i| self.stored(i))
+    }
+
+    /// Does some clause for `functor` have a head with an authority chain?
+    /// When not, no clause head unifies with any goal that carries one —
+    /// the engine skips its §3.2 self-closure pass on that basis.
+    pub fn has_authority_heads(&self, functor: (Sym, usize)) -> bool {
+        self.overlay.authority_headed.contains(&functor)
+            || self
+                .base
+                .as_deref()
+                .is_some_and(|b| b.authority_headed.contains(&functor))
     }
 
     /// Iterate over every stored rule, in insertion (global id) order.
@@ -614,6 +653,42 @@ mod tests {
         // A duplicate added without the check is never the one found.
         cow.add_local(fact("p", "x"));
         assert_eq!(cow.find(&fact("p", "x")), Some(RuleId(0)));
+    }
+
+    #[test]
+    fn stored_rules_list_their_variables_in_renaming_order() {
+        let mut kb = KnowledgeBase::new();
+        let fact_id = kb.add_local(fact("a", "x"));
+        let rule = Rule::horn(
+            Literal::new("p", vec![Term::var("Y"), Term::var("X")]),
+            vec![Literal::new("q", vec![Term::var("X"), Term::var("Z")])],
+        );
+        let rule_id = kb.add_local(rule.clone());
+        assert!(kb.get(fact_id).unwrap().vars().is_empty());
+        assert_eq!(kb.get(rule_id).unwrap().vars(), rule.vars().as_slice());
+        let names: Vec<_> = rule.vars().iter().map(|v| v.name.as_str()).collect();
+        assert_eq!(names, ["Y", "X", "Z"]);
+    }
+
+    #[test]
+    fn authority_heads_are_tracked_per_functor_across_freeze() {
+        let mut kb = KnowledgeBase::new();
+        kb.add_local(fact("p", "x"));
+        let chained =
+            |pred: &str| Rule::fact(Literal::new(pred, vec![Term::var("X")]).at(Term::str("A")));
+        kb.add_local(chained("q"));
+        kb.freeze();
+        kb.add_local(chained("r"));
+        let functor = |pred: &str| (Sym::new(pred), 1);
+        assert!(!kb.has_authority_heads(functor("p")));
+        assert!(kb.has_authority_heads(functor("q")), "from the base");
+        assert!(kb.has_authority_heads(functor("r")), "from the overlay");
+        assert!(
+            !kb.has_authority_heads((Sym::new("q"), 2)),
+            "arity is part of the key"
+        );
+        kb.freeze();
+        assert!(kb.has_authority_heads(functor("q")) && kb.has_authority_heads(functor("r")));
     }
 
     #[test]

@@ -52,13 +52,14 @@ pub mod unify;
 /// Convenient re-exports of the types used by nearly every client.
 pub mod prelude {
     pub use crate::bindings::{
-        unify_in, unify_literals_in, unify_opts_in, Bindings, Checkpoint, ResolveCache, TrailStats,
+        unify_head_in, unify_in, unify_literals_in, unify_opts_in, Bindings, Checkpoint,
+        ResolveCache, TrailStats,
     };
     pub use crate::context::Context;
     pub use crate::hash::{FxBuildHasher, FxHashMap, FxHashSet};
     pub use crate::kb::{KnowledgeBase, RuleOrigin};
     pub use crate::literal::Literal;
-    pub use crate::rule::{Rule, RuleId};
+    pub use crate::rule::{Renaming, Rule, RuleId};
     pub use crate::subst::Subst;
     pub use crate::symbol::{PeerId, Sym};
     pub use crate::term::{IndexKey, Term, Var};

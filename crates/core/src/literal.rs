@@ -17,9 +17,33 @@
 use crate::symbol::{PeerId, Sym};
 use crate::term::{Term, Var};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// The reserved predicate names the engine evaluates as builtins.
 pub const BUILTIN_PREDICATES: &[&str] = &["=", "!=", "<", "<=", ">", ">="];
+
+/// The predicate symbols the engine tests every selected goal against,
+/// interned once: comparing `Sym`s skips the interner's shard lock that
+/// [`Sym::as_str`] takes.
+struct Reserved {
+    /// [`BUILTIN_PREDICATES`] followed by `true`.
+    builtins: [Sym; 7],
+    not: Sym,
+}
+
+fn reserved() -> &'static Reserved {
+    static RESERVED: OnceLock<Reserved> = OnceLock::new();
+    RESERVED.get_or_init(|| {
+        let mut builtins = [Sym::new("true"); 7];
+        for (sym, name) in builtins.iter_mut().zip(BUILTIN_PREDICATES) {
+            *sym = Sym::new(name);
+        }
+        Reserved {
+            builtins,
+            not: Sym::new("not"),
+        }
+    })
+}
 
 /// A (positive) literal: predicate, arguments, and authority chain.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
@@ -70,7 +94,29 @@ impl Literal {
 
     /// Is this a builtin comparison the engine evaluates natively?
     pub fn is_builtin(&self) -> bool {
-        BUILTIN_PREDICATES.contains(&self.pred.as_str()) || self.pred.as_str() == "true"
+        reserved().builtins.contains(&self.pred)
+    }
+
+    /// Is this a negation-as-failure goal `not(g)`?
+    pub fn is_negation(&self) -> bool {
+        self.pred == reserved().not && self.args.len() == 1
+    }
+
+    /// Structural pre-filter for [`crate::bindings::unify_literals_in`]:
+    /// `false` only when the two literals differ in predicate, arity or
+    /// authority-chain length, or when at some aligned position neither
+    /// holds a variable and the two disagree on a constant or functor.
+    /// Never `false` for a pair that unifies.
+    pub fn may_unify(&self, other: &Literal) -> bool {
+        self.pred == other.pred
+            && self.args.len() == other.args.len()
+            && self.authority.len() == other.authority.len()
+            && self
+                .args
+                .iter()
+                .zip(&other.args)
+                .chain(self.authority.iter().zip(&other.authority))
+                .all(|(a, b)| a.may_unify(b))
     }
 
     /// Predicate/arity pair used for knowledge-base indexing.
@@ -230,6 +276,33 @@ mod tests {
         assert!(Literal::cmp(">=", Term::int(2), Term::int(1)).is_builtin());
         assert!(Literal::truth().is_builtin());
         assert!(!Literal::new("student", vec![]).is_builtin());
+    }
+
+    #[test]
+    fn negation_needs_one_argument() {
+        let g = Term::compound("banned", vec![Term::atom("bob")]);
+        assert!(Literal::new("not", vec![g.clone()]).is_negation());
+        assert!(!Literal::new("not", vec![g.clone(), g]).is_negation());
+        assert!(!Literal::new("nott", vec![Term::atom("a")]).is_negation());
+    }
+
+    #[test]
+    fn may_unify_rejects_only_clashes() {
+        let (x, y) = (Term::var("X"), Term::var("Y"));
+        let p = |args: Vec<Term>| Literal::new("p", args);
+        // Variables match anything; repeated ones are unification's job.
+        assert!(p(vec![x.clone(), x.clone()]).may_unify(&p(vec![Term::int(1), Term::int(2)])));
+        assert!(p(vec![Term::compound("f", vec![x.clone()])]).may_unify(&p(vec![y.clone()])));
+        // Constant, functor, arity and chain-length clashes.
+        assert!(!p(vec![x.clone(), Term::int(1)]).may_unify(&p(vec![y.clone(), Term::int(2)])));
+        assert!(!p(vec![Term::atom("a")]).may_unify(&p(vec![Term::str("a")])));
+        let f = |name: &str| Term::compound(name, vec![x.clone()]);
+        assert!(!p(vec![f("f")]).may_unify(&p(vec![f("g")])));
+        assert!(!p(vec![x.clone()]).may_unify(&p(vec![x.clone(), y.clone()])));
+        assert!(!p(vec![x.clone()]).may_unify(&p(vec![y.clone()]).at(Term::str("A"))));
+        assert!(!p(vec![x.clone()])
+            .at(Term::str("A"))
+            .may_unify(&p(vec![y]).at(Term::str("B"))));
     }
 
     #[test]

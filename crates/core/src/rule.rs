@@ -21,7 +21,7 @@
 use crate::context::Context;
 use crate::literal::Literal;
 use crate::symbol::{PeerId, Sym};
-use crate::term::{Term, Var};
+use crate::term::{map_terms_cow, Term, Var};
 use std::fmt;
 
 /// Identifies a rule within one peer's knowledge base.
@@ -119,24 +119,28 @@ impl Rule {
     /// All distinct variables in the rule, first-occurrence order
     /// (head, then contexts, then body).
     pub fn vars(&self) -> Vec<Var> {
-        let mut all = Vec::new();
-        self.head.collect_vars(&mut all);
+        let mut vars = Vec::new();
+        self.head.collect_vars(&mut vars);
         if let Some(c) = &self.head_context {
-            c.collect_vars(&mut all);
+            c.collect_vars(&mut vars);
         }
         if let Some(c) = &self.rule_context {
-            c.collect_vars(&mut all);
+            c.collect_vars(&mut vars);
         }
         for b in &self.body {
-            b.collect_vars(&mut all);
+            b.collect_vars(&mut vars);
         }
-        let mut seen = Vec::new();
-        for v in all {
-            if !seen.contains(&v) {
-                seen.push(v);
+        // Keep first occurrences, in place.
+        let mut kept = 0;
+        for i in 0..vars.len() {
+            let v = vars[i];
+            if !vars[..kept].contains(&v) {
+                vars[kept] = v;
+                kept += 1;
             }
         }
-        seen
+        vars.truncate(kept);
+        vars
     }
 
     /// Produce a copy with every variable renamed to the given fresh
@@ -211,6 +215,58 @@ impl Rule {
     /// The issuers as peer ids.
     pub fn issuers(&self) -> Vec<PeerId> {
         self.signed_by.iter().map(|s| PeerId(*s)).collect()
+    }
+}
+
+/// A rule standardized apart without being copied: the lazy form of
+/// [`Rule::rename_apart_indexed`]. `vars` are the rule's distinct
+/// variables in [`Rule::vars`] order — the order `rename_apart_indexed`
+/// meets them — and `vars[i]` reads as version `offset + 1 + i`, exactly
+/// the version that method gives it when called with the counter at
+/// `offset`. The caller advances its counter by `vars.len()`.
+#[derive(Clone, Copy, Debug)]
+pub struct Renaming<'a> {
+    vars: &'a [Var],
+    offset: u32,
+}
+
+impl<'a> Renaming<'a> {
+    pub fn new(vars: &'a [Var], offset: u32) -> Renaming<'a> {
+        Renaming { vars, offset }
+    }
+
+    /// The renamed form of rule variable `v`.
+    pub fn var(&self, v: Var) -> Var {
+        let i = self
+            .vars
+            .iter()
+            .position(|w| *w == v)
+            .expect("variable of the renamed rule");
+        Var::versioned(v.name, self.offset + 1 + i as u32)
+    }
+
+    /// `t` renamed; ground subterms are shared, not rebuilt.
+    pub fn term(&self, t: &Term) -> Term {
+        self.term_cow(t).unwrap_or_else(|| t.clone())
+    }
+
+    fn term_cow(&self, t: &Term) -> Option<Term> {
+        match t {
+            Term::Var(v) => Some(Term::Var(self.var(*v))),
+            Term::Atom(_) | Term::Str(_) | Term::Int(_) => None,
+            Term::Compound(f, args) => {
+                map_terms_cow(args, |a| self.term_cow(a)).map(|v| Term::Compound(*f, v.into()))
+            }
+        }
+    }
+
+    /// `l` renamed.
+    pub fn literal(&self, l: &Literal) -> Literal {
+        Literal {
+            pred: l.pred,
+            args: l.args.iter().map(|t| self.term(t)).collect(),
+            authority: l.authority.iter().map(|t| self.term(t)).collect(),
+        }
     }
 }
 

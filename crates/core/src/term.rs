@@ -205,6 +205,48 @@ impl Term {
             }
         }
     }
+
+    /// Structural pre-filter for unification: `false` only when the two
+    /// terms disagree on a constant or a functor at a position where
+    /// neither side holds a variable — a clash no substitution can
+    /// repair, whatever the variables are bound to. Variables match
+    /// anything; repeated variables are left to unification.
+    pub(crate) fn may_unify(&self, other: &Term) -> bool {
+        match (self, other) {
+            (Term::Var(_), _) | (_, Term::Var(_)) => true,
+            (Term::Atom(a), Term::Atom(b)) | (Term::Str(a), Term::Str(b)) => a == b,
+            (Term::Int(a), Term::Int(b)) => a == b,
+            (Term::Compound(f, xs), Term::Compound(g, ys)) => {
+                f == g
+                    && xs.len() == ys.len()
+                    && xs.iter().zip(ys.iter()).all(|(x, y)| x.may_unify(y))
+            }
+            _ => false,
+        }
+    }
+}
+
+/// Copy-on-write map over a term list: `None` when `f` changed no term
+/// (the caller keeps the original list), otherwise the rebuilt list with
+/// every unchanged term shared.
+pub(crate) fn map_terms_cow(
+    ts: &[Term],
+    mut f: impl FnMut(&Term) -> Option<Term>,
+) -> Option<Vec<Term>> {
+    let mut rebuilt: Option<Vec<Term>> = None;
+    for (i, t) in ts.iter().enumerate() {
+        match f(t) {
+            Some(changed) => rebuilt
+                .get_or_insert_with(|| ts[..i].to_vec())
+                .push(changed),
+            None => {
+                if let Some(v) = rebuilt.as_mut() {
+                    v.push(t.clone());
+                }
+            }
+        }
+    }
+    rebuilt
 }
 
 impl From<PeerId> for Term {

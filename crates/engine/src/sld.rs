@@ -31,8 +31,8 @@
 use crate::builtins::{eval_builtin_in, BuiltinOutcomeIn};
 use crate::table::{AnswerTable, ConcurrentTable, Disposition, Probe, TableStats, TabledAnswer};
 use peertrust_core::{
-    unify_literals_in, Bindings, FxHashMap, KnowledgeBase, Literal, PeerId, ResolveCache, RuleId,
-    Subst, Term, TrailStats, Var,
+    unify_head_in, unify_literals_in, Bindings, FxHashMap, KnowledgeBase, Literal, PeerId,
+    Renaming, ResolveCache, RuleId, Subst, Term, TrailStats, Var,
 };
 use peertrust_telemetry::{Field, Telemetry};
 use std::cell::RefCell;
@@ -407,6 +407,34 @@ fn cons(item: GoalItem, next: Agenda) -> Agenda {
     Some(Rc::new(AgendaNode { item, next }))
 }
 
+/// The open ancestors of the selected goal: the `Fold` node of every
+/// alternative still being proven, shared with the agenda rather than
+/// copied.
+type Ancestors = Vec<Rc<AgendaNode>>;
+
+impl AgendaNode {
+    /// The goal of an ancestor entry.
+    fn fold_goal(&self) -> &Literal {
+        match &self.item {
+            GoalItem::Fold { goal, .. } => goal,
+            GoalItem::Lit(..) => unreachable!("ancestors are fold nodes"),
+        }
+    }
+}
+
+/// Distinct variables of `goals`, in first-occurrence order.
+fn distinct_vars(goals: &[Literal]) -> Vec<Var> {
+    let mut vars: Vec<Var> = Vec::new();
+    for g in goals {
+        for v in g.vars() {
+            if !vars.contains(&v) {
+                vars.push(v);
+            }
+        }
+    }
+    vars
+}
+
 enum Flow {
     Continue,
     Stop,
@@ -496,11 +524,7 @@ impl<'a> Solver<'a> {
                 RefCell::new(AnswerTable::new()),
             )));
         }
-        let mut query_vars: Vec<Var> = Vec::new();
-        for g in goals {
-            g.collect_vars(&mut query_vars);
-        }
-        query_vars.dedup();
+        let query_vars = distinct_vars(goals);
 
         let table_before = self.table_stats();
         let (span, before) = if self.telemetry.enabled() {
@@ -525,7 +549,7 @@ impl<'a> Solver<'a> {
             agenda = cons(GoalItem::Lit(g.clone(), 0), agenda);
         }
         let mut out = Vec::new();
-        let mut anc: Vec<Literal> = Vec::new();
+        let mut anc: Ancestors = Vec::new();
         let mut acc: Vec<Proof> = Vec::new();
         // Slot watermark: every variable version that exists before the
         // derivation (query variables included) must sit at or below the
@@ -627,7 +651,7 @@ impl<'a> Solver<'a> {
         &mut self,
         agenda: &Agenda,
         bs: &mut Bindings,
-        anc: &mut Vec<Literal>,
+        anc: &mut Ancestors,
         acc: &mut Vec<Proof>,
         out: &mut Vec<Solution>,
         query_vars: &[Var],
@@ -653,11 +677,7 @@ impl<'a> Solver<'a> {
         match item {
             GoalItem::Fold { goal, step, arity } => {
                 // Assemble the proof node for `goal` from its children.
-                let children = acc
-                    .split_off(acc.len() - arity)
-                    .into_iter()
-                    .map(Arc::new)
-                    .collect();
+                let children = acc.drain(acc.len() - arity..).map(Arc::new).collect();
                 acc.push(Proof {
                     goal: goal.clone(),
                     step: step.clone(),
@@ -687,22 +707,22 @@ impl<'a> Solver<'a> {
                     self.stats.step_budget_exhausted = true;
                     return Flow::Stop;
                 }
-                let goal = bs.apply_literal(goal);
-                self.prove_goal(goal, *depth, rest, bs, anc, acc, out, query_vars)
+                let goal = bs.apply_literal_cow(goal);
+                self.prove_goal(&goal, *depth, rest, bs, anc, acc, out, query_vars)
             }
         }
     }
 
     /// Handle one selected goal, already resolved under `bs` by
-    /// `apply_literal`.
+    /// `apply_literal_cow`.
     #[allow(clippy::too_many_arguments)]
     fn prove_goal(
         &mut self,
-        goal: Literal,
+        goal: &Literal,
         depth: usize,
         rest: &Agenda,
         bs: &mut Bindings,
-        anc: &mut Vec<Literal>,
+        anc: &mut Ancestors,
         acc: &mut Vec<Proof>,
         out: &mut Vec<Solution>,
         query_vars: &[Var],
@@ -713,7 +733,7 @@ impl<'a> Solver<'a> {
         // `p(args...)` is unprovable. Non-ground negations flounder
         // (fail); remote goals are never negated — NAF over another
         // peer's silence would conflate "no" with "won't say".
-        if goal.pred.as_str() == "not" && goal.args.len() == 1 {
+        if goal.is_negation() {
             // `goal` is fully resolved already (`apply_literal`
             // above), so no walk is needed here.
             let inner = match &goal.args[0] {
@@ -744,9 +764,9 @@ impl<'a> Solver<'a> {
                 return Flow::Continue;
             }
             return self.alternative(
-                &goal,
+                goal,
                 ProofStep::Negation,
-                &[],
+                std::iter::empty(),
                 depth,
                 rest,
                 bs,
@@ -762,12 +782,12 @@ impl<'a> Solver<'a> {
         if goal.is_builtin() {
             self.stats.builtin_evals += 1;
             let cp = bs.checkpoint();
-            return match eval_builtin_in(&goal, bs) {
+            return match eval_builtin_in(goal, bs) {
                 BuiltinOutcomeIn::True => {
                     let flow = self.alternative(
-                        &goal,
+                        goal,
                         ProofStep::Builtin,
-                        &[],
+                        std::iter::empty(),
                         depth,
                         rest,
                         bs,
@@ -793,7 +813,10 @@ impl<'a> Solver<'a> {
         // identically with tabling on or off.
         if self.config.ancestor_loop_check {
             let mut vmap: Vec<(Var, Var)> = Vec::new();
-            if anc.iter().any(|a| variant_under(a, &goal, bs, &mut vmap)) {
+            if anc
+                .iter()
+                .any(|a| variant_under(a.fold_goal(), goal, bs, &mut vmap))
+            {
                 self.stats.loop_prunes += 1;
                 return Flow::Continue;
             }
@@ -803,7 +826,7 @@ impl<'a> Solver<'a> {
         // may route to another peer and belong to the negotiation
         // layer's remote-answer cache, not this per-solver table.
         if self.config.tabling && goal.authority.is_empty() && self.table.is_some() {
-            if let Some(flow) = self.tabled(&goal, rest, bs, anc, acc, out, query_vars) {
+            if let Some(flow) = self.tabled(goal, rest, bs, anc, acc, out, query_vars) {
                 return flow;
             }
             // `None`: variant in progress or incomplete — resolve
@@ -814,9 +837,9 @@ impl<'a> Solver<'a> {
         if goal.eval_peer() == Some(self.self_id) {
             let inner = goal.strip_outer_authority();
             return self.alternative(
-                &goal,
+                goal,
                 ProofStep::SelfAuthority,
-                std::slice::from_ref(&inner),
+                std::iter::once(inner),
                 depth,
                 rest,
                 bs,
@@ -829,9 +852,10 @@ impl<'a> Solver<'a> {
 
         // Local clauses, in clause (insertion) order.
         let mut any_local_clause = false;
+        let mut drawn = 0;
         if let Flow::Stop = self.local_clauses(
-            &goal,
-            &goal,
+            goal,
+            goal,
             depth,
             rest,
             bs,
@@ -840,6 +864,7 @@ impl<'a> Solver<'a> {
             out,
             query_vars,
             &mut any_local_clause,
+            &mut drawn,
         ) {
             return Flow::Stop;
         }
@@ -851,20 +876,31 @@ impl<'a> Solver<'a> {
         // e.g. authority A0, asked the chainless `attr(X)`, answers
         // from its delegation rule with head `attr(X) @ "A0"`.
         if goal.eval_peer() != Some(self.self_id) {
-            let extended = goal.clone().at(Term::peer(self.self_id));
-            if let Flow::Stop = self.local_clauses(
-                &goal,
-                &extended,
-                depth,
-                rest,
-                bs,
-                anc,
-                acc,
-                out,
-                query_vars,
-                &mut any_local_clause,
-            ) {
-                return Flow::Stop;
+            if self.kb.has_authority_heads(goal.functor()) {
+                let extended = goal.clone().at(Term::peer(self.self_id));
+                if let Flow::Stop = self.local_clauses(
+                    goal,
+                    &extended,
+                    depth,
+                    rest,
+                    bs,
+                    anc,
+                    acc,
+                    out,
+                    query_vars,
+                    &mut any_local_clause,
+                    &mut drawn,
+                ) {
+                    return Flow::Stop;
+                }
+            } else {
+                // The extended goal carries an authority and no clause
+                // head for its functor does, so no head unifies: skip
+                // the pass. Its candidates are the first pass's (the
+                // index ignores authorities), so still draw the versions
+                // their renames would have, keeping every later version
+                // unchanged.
+                self.rename_counter += drawn;
             }
         }
 
@@ -895,7 +931,7 @@ impl<'a> Solver<'a> {
                 let flow = self.alternative(
                     &inner,
                     ProofStep::Remote(peer),
-                    &[],
+                    std::iter::empty(),
                     depth,
                     rest,
                     bs,
@@ -915,9 +951,15 @@ impl<'a> Solver<'a> {
     }
 
     /// Try every local clause whose head could match `target`, in clause
-    /// order: rename each candidate apart and unify its head. `goal` is
-    /// what proof nodes record (it differs from `target` on the §3.2
-    /// self-closure pass). Sets `*any` when at least one head unified.
+    /// order. `goal` is what proof nodes record (it differs from `target`
+    /// on the §3.2 self-closure pass). Sets `*any` when at least one head
+    /// unified, and adds to `*drawn` the variable versions the pass drew.
+    ///
+    /// Each candidate draws its rule's variable count from the rename
+    /// counter whether or not its head matches, exactly as renaming every
+    /// candidate would. Only a candidate that passes the structural
+    /// pre-filter is unified, with its head read through the renaming
+    /// instead of copied; only a matching candidate's body is renamed.
     #[allow(clippy::too_many_arguments)]
     fn local_clauses(
         &mut self,
@@ -926,18 +968,16 @@ impl<'a> Solver<'a> {
         depth: usize,
         rest: &Agenda,
         bs: &mut Bindings,
-        anc: &mut Vec<Literal>,
+        anc: &mut Ancestors,
         acc: &mut Vec<Proof>,
         out: &mut Vec<Solution>,
         query_vars: &[Var],
         any: &mut bool,
+        drawn: &mut u32,
     ) -> Flow {
-        let candidates: Vec<_> = self
-            .kb
-            .candidates(target)
-            .map(|sr| (sr.id, sr.rule.clone()))
-            .collect();
-        for (id, rule) in &candidates {
+        let kb = self.kb;
+        for sr in kb.candidates(target) {
+            let rule = &sr.rule;
             // Release-pattern self-rules (`p $ ctx <- p`) are
             // derivationally inert — they exist purely as disclosure
             // licenses (paper §3.1) and are applied by the negotiation
@@ -947,17 +987,23 @@ impl<'a> Solver<'a> {
                 continue;
             }
             self.stats.rule_tries += 1;
-            let renamed = rule.rename_apart_indexed(&mut self.rename_counter);
             self.stats.unify_attempts += 1;
+            let versions = u32::try_from(sr.vars().len()).expect("rule variable count fits u32");
+            let ren = Renaming::new(sr.vars(), self.rename_counter);
+            self.rename_counter += versions;
+            *drawn += versions;
+            if !rule.head.may_unify(target) {
+                continue;
+            }
             let cp = bs.checkpoint();
-            if !unify_literals_in(&renamed.head, target, bs) {
+            if !unify_head_in(&rule.head, ren, target, bs) {
                 continue;
             }
             *any = true;
             let flow = self.alternative(
                 goal,
-                ProofStep::Rule(*id),
-                &renamed.body,
+                ProofStep::Rule(sr.id),
+                rule.body.iter().map(|b| ren.literal(b)),
                 depth,
                 rest,
                 bs,
@@ -976,32 +1022,35 @@ impl<'a> Solver<'a> {
 
     /// Explore one alternative for `goal`: prove `body` (at `depth + 1`),
     /// fold the results into a proof node, then continue with `rest`.
+    /// Body literals move into the agenda; the fold node doubles as the
+    /// ancestor entry for `goal`.
     #[allow(clippy::too_many_arguments)]
     fn alternative(
         &mut self,
         goal: &Literal,
         step: ProofStep,
-        body: &[Literal],
+        body: impl DoubleEndedIterator<Item = Literal> + ExactSizeIterator,
         depth: usize,
         rest: &Agenda,
         bs: &mut Bindings,
-        anc: &mut Vec<Literal>,
+        anc: &mut Ancestors,
         acc: &mut Vec<Proof>,
         out: &mut Vec<Solution>,
         query_vars: &[Var],
     ) -> Flow {
-        let mut agenda = cons(
-            GoalItem::Fold {
+        let fold = Rc::new(AgendaNode {
+            item: GoalItem::Fold {
                 goal: goal.clone(),
                 step,
                 arity: body.len(),
             },
-            rest.clone(),
-        );
-        for b in body.iter().rev() {
-            agenda = cons(GoalItem::Lit(b.clone(), depth + 1), agenda);
+            next: rest.clone(),
+        });
+        let mut agenda = Some(Rc::clone(&fold));
+        for b in body.rev() {
+            agenda = cons(GoalItem::Lit(b, depth + 1), agenda);
         }
-        anc.push(goal.clone());
+        anc.push(fold);
         let flow = self.prove(&agenda, bs, anc, acc, out, query_vars);
         anc.pop();
         flow
@@ -1016,7 +1065,7 @@ impl<'a> Solver<'a> {
         goal: &Literal,
         rest: &Agenda,
         bs: &mut Bindings,
-        anc: &mut Vec<Literal>,
+        anc: &mut Ancestors,
         acc: &mut Vec<Proof>,
         out: &mut Vec<Solution>,
         query_vars: &[Var],
@@ -1038,15 +1087,13 @@ impl<'a> Solver<'a> {
         // Under a concurrent table another thread may be doing the same —
         // both evaluate the same KB, so both record the same entry.
         table.begin(key.clone());
-        let mut sub_vars: Vec<Var> = Vec::new();
-        key.collect_vars(&mut sub_vars);
-        sub_vars.dedup();
+        let sub_vars = key.vars();
         let cutoffs_before = self.stats.depth_cutoffs;
         let saved_max = self.config.max_solutions;
         self.config.max_solutions = self.config.table_max_answers;
         let agenda = cons(GoalItem::Lit(key.clone(), 0), None);
         let mut sub_out: Vec<Solution> = Vec::new();
-        let mut sub_anc: Vec<Literal> = Vec::new();
+        let mut sub_anc: Ancestors = Vec::new();
         let mut sub_acc: Vec<Proof> = Vec::new();
         // The canonical key's `_C` variables carry low versions (1..k);
         // keep them below the sub-store's slot watermark so they land in
@@ -1106,7 +1153,7 @@ impl<'a> Solver<'a> {
         answers: &[TabledAnswer],
         rest: &Agenda,
         bs: &mut Bindings,
-        anc: &mut Vec<Literal>,
+        anc: &mut Ancestors,
         acc: &mut Vec<Proof>,
         out: &mut Vec<Solution>,
         query_vars: &[Var],
@@ -1373,6 +1420,17 @@ mod tests {
         for sol in &sols {
             assert_eq!(sol.subst.len(), 1);
         }
+    }
+
+    #[test]
+    fn repeated_query_variables_are_projected_once() {
+        // `X` occurs twice, not adjacently: projecting it twice would
+        // rebind it (a debug-build panic).
+        let sols = solve_all("p(1, 2, 1).", "p(X, Y, X)");
+        assert_eq!(sols.len(), 1);
+        assert_eq!(sols[0].subst.len(), 2);
+        assert_eq!(sols[0].subst.apply(&Term::var("X")), Term::int(1));
+        assert_eq!(sols[0].subst.apply(&Term::var("Y")), Term::int(2));
     }
 
     #[test]
@@ -1746,6 +1804,18 @@ mod tabling_tests {
         let sols = solver.solve(&parse_goals("pair(A, B)").unwrap());
         assert_eq!(sols.len(), 1, "distinct instantiations must both succeed");
         assert!(solver.table_stats().hits >= 1);
+    }
+
+    #[test]
+    fn repeated_variables_of_a_tabled_variant_are_projected_once() {
+        // The body goal's variant key is `p(_C1, _C2, _C1)`; its
+        // sub-derivation must project `_C1` once.
+        let kb = kb("p(1, 2, 1). q(X, Y) <- p(X, Y, X).");
+        let mut solver = Solver::new(&kb, PeerId::new("self")).with_config(tabled_config());
+        let sols = solver.solve(&parse_goals("q(A, B)").unwrap());
+        assert_eq!(answers(&sols, "A"), ["1"]);
+        assert_eq!(answers(&sols, "B"), ["2"]);
+        assert!(solver.table_stats().inserts >= 2);
     }
 
     #[test]

@@ -117,6 +117,51 @@ fn arb_auth_program() -> impl Strategy<Value = Program> {
     })
 }
 
+/// Programs whose answers keep fresh rule variables: clause heads carry
+/// variables their bodies never bind (`r0(Z, 1) <- u.`, the fact
+/// `w(Z).`), so each answer shows the raw version the rename counter gave
+/// it, and a conjunctive goal reaches the same clauses again after
+/// backtracking. Constants in the second head argument make the
+/// pre-filter reject candidates whose variables still draw versions, and
+/// an optional `@ "self"` head authority turns the §3.2 self-closure pass
+/// on for its predicate. `r1` bodies call `r0`, `r0` bodies only facts,
+/// so every derivation is finite.
+fn arb_open_program() -> impl Strategy<Value = Program> {
+    let arg = prop_oneof![
+        Just(Term::var("Z")),
+        Just(Term::var("Y")),
+        (0i64..3).prop_map(Term::int),
+        Just(Term::compound("f", vec![Term::var("Z")])),
+    ];
+    let clause = (0u32..2, arg.clone(), arg, 0u32..4, 0i64..3, any::<bool>()).prop_map(
+        |(p, a, b, body, k, chained)| {
+            let mut head = Literal::new(format!("r{p}").as_str(), vec![a, b]);
+            if chained {
+                head = head.at(Term::str("self"));
+            }
+            let y = Term::var("Y");
+            let body = match (body, p) {
+                (0, _) => vec![Literal::new("u", vec![])],
+                (1, _) => vec![Literal::new("w", vec![y])],
+                (2, 1) => vec![Literal::new("r0", vec![y, Term::int(k)])],
+                (_, 1) => vec![Literal::new("r0", vec![Term::var("W"), y])],
+                _ => vec![],
+            };
+            Rule::horn(head, body)
+        },
+    );
+    prop::collection::vec(clause, 1..7).prop_map(|clauses| {
+        let facts = [
+            Rule::fact(Literal::new("u", vec![])),
+            Rule::fact(Literal::new("w", vec![Term::int(1)])),
+            Rule::fact(Literal::new("w", vec![Term::var("Z")])),
+        ];
+        Program {
+            rules: facts.into_iter().chain(clauses).collect(),
+        }
+    })
+}
+
 fn config() -> EngineConfig {
     EngineConfig {
         max_solutions: 512,
@@ -144,8 +189,62 @@ fn render(goal: &Literal, sol: &Solution) -> (String, Vec<String>) {
     )
 }
 
+/// Render solutions with variables exactly as the solver numbered them:
+/// each goal's answer instance and each proof node's goal.
+fn render_raw(goals: &[Literal], sol: &Solution) -> (Vec<String>, Vec<String>) {
+    fn sketch(p: &Proof, out: &mut Vec<String>) {
+        out.push(format!("{:?} {}", p.step, p.goal));
+        for c in &p.children {
+            sketch(c, out);
+        }
+    }
+    let mut proofs = Vec::new();
+    for p in &sol.proofs {
+        sketch(p, &mut proofs);
+    }
+    let answers = goals
+        .iter()
+        .map(|g| sol.subst.apply_literal(g).to_string())
+        .collect();
+    (answers, proofs)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Raw variable versions match the reference interpreter, which
+    /// renames every candidate on both clause passes: a candidate the
+    /// pre-filter rejects, and a self-closure pass the engine skips, must
+    /// still draw the versions their renames would have.
+    #[test]
+    fn raw_variable_versions_match_reference(prog in arb_open_program()) {
+        let kb: KnowledgeBase = prog.rules.iter().cloned().collect();
+        let (a, b, c) = (Term::var("A"), Term::var("B"), Term::var("C"));
+        let queries = [
+            vec![Literal::new("r0", vec![a.clone(), b.clone()])],
+            vec![Literal::new("r1", vec![a.clone(), b.clone()])],
+            vec![
+                Literal::new("r0", vec![a.clone(), Term::int(1)]),
+                Literal::new("r1", vec![b.clone(), c.clone()]),
+                Literal::new("r0", vec![c, a]),
+            ],
+        ];
+        for goals in &queries {
+            let mut production = Solver::new(&kb, PeerId::new("self")).with_config(config());
+            let got = production.solve(goals);
+            let mut reference = RefSolver::new(&kb, PeerId::new("self")).with_config(config());
+            let want = reference.solve(goals);
+            prop_assume!(!production.stats().step_budget_exhausted);
+
+            let got_r: Vec<_> = got.iter().map(|s| render_raw(goals, s)).collect();
+            let want_r: Vec<_> = want.iter().map(|s| render_raw(goals, s)).collect();
+            prop_assert_eq!(
+                &got_r, &want_r,
+                "raw versions diverge on {:?}: trail {:?} vs reference {:?}",
+                goals, got_r, want_r
+            );
+        }
+    }
 
     /// The trail-based solver and the clone-per-branch reference produce
     /// the same solutions — same instances, same order, same proof trees.

@@ -70,10 +70,11 @@ impl<'a> RefSolver<'a> {
     /// `config.max_solutions` answers with proofs.
     pub fn solve(&mut self, goals: &[Literal]) -> Vec<Solution> {
         let mut query_vars: Vec<Var> = Vec::new();
-        for g in goals {
-            g.collect_vars(&mut query_vars);
+        for v in goals.iter().flat_map(Literal::vars) {
+            if !query_vars.contains(&v) {
+                query_vars.push(v);
+            }
         }
-        query_vars.dedup();
         let agenda: Vec<GoalItem> = goals.iter().map(|g| GoalItem::Lit(g.clone(), 0)).collect();
         let mut out = Vec::new();
         let mut anc: Vec<Literal> = Vec::new();

@@ -340,12 +340,18 @@ impl NegotiationPeer {
             .or_else(|| self.signed_base.get(&id))
     }
 
-    /// All signed rules this peer could potentially disclose.
+    /// All signed rules this peer could potentially disclose, in rule-id
+    /// order: the maps iterate in a per-process hash order, and the eager
+    /// strategy pushes credentials in the order it meets them.
     pub fn disclosable_signed_rules(&self) -> impl Iterator<Item = (RuleId, &SignedRule)> {
-        self.signed_base
+        let mut all: Vec<(RuleId, &SignedRule)> = self
+            .signed_base
             .iter()
             .chain(self.signed_overlay.iter())
             .map(|(id, s)| (*id, s))
+            .collect();
+        all.sort_unstable_by_key(|(id, _)| *id);
+        all.into_iter()
     }
 
     /// Effort policy: will this peer even *consider* `goal` from

@@ -243,6 +243,17 @@ mod tests {
             .all(|d| d.from != PeerId::new("UIUC") && d.to != PeerId::new("UIUC")));
     }
 
+    /// The eager outcome, serialized. Each peer pushes its disclosable
+    /// credentials in rule-id order, so every process produces these
+    /// bytes; in hash-map order they varied from one process to the next.
+    const EAGER_OUTCOME: &str = r#"{"success":true,"requester":"Alice","responder":"E-Learn","goal":{"pred":"discountEnroll","args":[{"Atom":"spanish101"},{"Str":"Alice"}],"authority":[]},"granted":[{"pred":"discountEnroll","args":[{"Atom":"spanish101"},{"Str":"Alice"}],"authority":[]}],"disclosures":[{"seq":0,"from":"E-Learn","to":"Alice","item":{"SignedRule":{"rule":{"head":{"pred":"member","args":[{"Str":"E-Learn"}],"authority":[{"Str":"BBB"}]},"head_context":null,"rule_context":null,"body":[],"signed_by":["BBB"]},"signatures":[[88,43,148,197,192,171,115,79,197,136,213,182,211,125,136,25,221,76,240,255,17,55,124,13,89,72,78,170,84,50,122,29]]}},"context":[],"evidence":[]},{"seq":1,"from":"Alice","to":"E-Learn","item":{"SignedRule":{"rule":{"head":{"pred":"student","args":[{"Str":"Alice"}],"authority":[{"Str":"UIUC Registrar"}]},"head_context":null,"rule_context":null,"body":[],"signed_by":["UIUC Registrar"]},"signatures":[[163,70,30,227,116,221,56,163,5,224,254,39,50,229,255,173,29,173,29,64,211,118,198,224,104,125,89,168,253,236,199,48]]}},"context":[{"pred":"member","args":[{"Str":"E-Learn"}],"authority":[{"Str":"BBB"},{"Str":"E-Learn"}]}],"evidence":[{"ReceivedRule":{"from":"E-Learn","rule":{"head":{"pred":"member","args":[{"Str":"E-Learn"}],"authority":[{"Str":"BBB"},{"Str":"E-Learn"}]},"head_context":null,"rule_context":null,"body":[],"signed_by":[]}}}]},{"seq":2,"from":"Alice","to":"E-Learn","item":{"SignedRule":{"rule":{"head":{"pred":"student","args":[{"Var":{"name":"X","version":0}}],"authority":[{"Str":"UIUC"}]},"head_context":null,"rule_context":null,"body":[{"pred":"student","args":[{"Var":{"name":"X","version":0}}],"authority":[{"Str":"UIUC Registrar"}]}],"signed_by":["UIUC"]},"signatures":[[225,124,141,159,219,76,206,17,169,178,174,16,184,208,165,150,94,174,251,98,151,84,174,18,198,121,145,180,25,180,230,179]]}},"context":[{"pred":"member","args":[{"Str":"E-Learn"}],"authority":[{"Str":"BBB"},{"Str":"E-Learn"}]}],"evidence":[{"ReceivedRule":{"from":"E-Learn","rule":{"head":{"pred":"member","args":[{"Str":"E-Learn"}],"authority":[{"Str":"BBB"},{"Str":"E-Learn"}]},"head_context":null,"rule_context":null,"body":[],"signed_by":[]}}}]},{"seq":3,"from":"E-Learn","to":"Alice","item":{"Resource":{"pred":"discountEnroll","args":[{"Atom":"spanish101"},{"Str":"Alice"}],"authority":[]}},"context":[],"evidence":[]}],"refusals":[],"messages":2,"bytes":306,"queries":0,"rounds":2,"elapsed_ticks":2}"#;
+
+    #[test]
+    fn eager_outcome_bytes_are_pinned() {
+        let out = Scenario1::build().run(Strategy::Eager);
+        assert_eq!(serde_json::to_string(&out).unwrap(), EAGER_OUTCOME);
+    }
+
     #[test]
     fn parsimonious_discloses_no_more_than_eager() {
         let mut p = Scenario1::build();
