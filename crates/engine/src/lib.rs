@@ -34,6 +34,6 @@ pub use explain::{explain, explain_with_rules, proof_summary};
 pub use forward::{saturate, ForwardConfig, Saturation};
 pub use sld::{
     canonical_answer_set, canonicalize, is_variant, EngineConfig, NoRemote, Proof, ProofStep,
-    RemoteFallback, RemoteHook, SharedTable, Solution, Solver, Stats, TableHandle,
+    RemoteFallback, RemoteHook, SharedTable, Solution, Solver, Stats,
 };
-pub use table::{AnswerTable, ConcurrentTable, Disposition, Probe, TableStats, TabledAnswer};
+pub use table::{AnswerTable, Disposition, Probe, TableStats, TabledAnswer};

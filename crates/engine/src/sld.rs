@@ -29,7 +29,7 @@
 //! disclose.
 
 use crate::builtins::{eval_builtin_in, BuiltinOutcomeIn};
-use crate::table::{AnswerTable, ConcurrentTable, Disposition, Probe, TableStats, TabledAnswer};
+use crate::table::{AnswerTable, Disposition, Probe, TableStats, TabledAnswer};
 use peertrust_core::{
     unify_head_in, unify_literals_in, Bindings, FxHashMap, KnowledgeBase, Literal, PeerId,
     Renaming, ResolveCache, RuleId, Subst, Term, TrailStats, Var,
@@ -43,94 +43,6 @@ use std::sync::Arc;
 /// over the *same* knowledge base to keep memoized answers warm across
 /// [`Solver::solve`] calls.
 pub type SharedTable = Rc<RefCell<AnswerTable>>;
-
-/// The solver's tabling backend: either the single-threaded
-/// `Rc<RefCell<AnswerTable>>` (the default — zero synchronization) or an
-/// `Arc<ConcurrentTable>` shared between solver threads evaluating the
-/// same knowledge base.
-///
-/// Both variants expose the same probe/begin/complete protocol, so the
-/// solver's tabling step is written once against this handle. The `Local`
-/// arm compiles down to the exact `RefCell` borrow sequence the solver
-/// used before the handle existed; no atomics or locks appear on the
-/// single-threaded path.
-#[derive(Clone)]
-pub enum TableHandle {
-    /// Single-threaded table (what `config.tabling` creates lazily).
-    Local(SharedTable),
-    /// Sharded, lock-per-shard table for multi-threaded batch workloads.
-    Concurrent(Arc<ConcurrentTable>),
-}
-
-impl TableHandle {
-    /// Classify a goal variant: reusable, inline-only, or fresh. Counts
-    /// the hit / inline-fallback on the matching branch.
-    fn probe(&self, key: &Literal) -> Probe {
-        match self {
-            TableHandle::Local(t) => {
-                let mut t = t.borrow_mut();
-                if t.in_progress(key) || t.disposition(key) == Some(Disposition::Incomplete) {
-                    t.note_inline_fallback();
-                    return Probe::Inline;
-                }
-                match t.lookup(key) {
-                    Some(answers) => Probe::Reuse(answers.to_vec()),
-                    None => Probe::Fresh,
-                }
-            }
-            TableHandle::Concurrent(t) => t.probe(key),
-        }
-    }
-
-    fn begin(&self, key: Literal) {
-        match self {
-            TableHandle::Local(t) => t.borrow_mut().begin(key),
-            TableHandle::Concurrent(t) => t.begin(key),
-        }
-    }
-
-    fn complete(&self, key: Literal, disposition: Disposition, answers: Vec<TabledAnswer>) {
-        match self {
-            TableHandle::Local(t) => t.borrow_mut().complete(key, disposition, answers),
-            TableHandle::Concurrent(t) => t.complete(key, disposition, answers),
-        }
-    }
-
-    fn note_inline_fallback(&self) {
-        match self {
-            TableHandle::Local(t) => t.borrow_mut().note_inline_fallback(),
-            TableHandle::Concurrent(t) => t.note_inline_fallback(),
-        }
-    }
-
-    /// Counter snapshot (shared across all holders of this handle).
-    pub fn stats(&self) -> TableStats {
-        match self {
-            TableHandle::Local(t) => t.borrow().stats(),
-            TableHandle::Concurrent(t) => t.stats(),
-        }
-    }
-
-    /// Number of variants with a recorded entry.
-    pub fn len(&self) -> usize {
-        match self {
-            TableHandle::Local(t) => t.borrow().len(),
-            TableHandle::Concurrent(t) => t.len(),
-        }
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total answers stored across all entries.
-    pub fn answer_count(&self) -> usize {
-        match self {
-            TableHandle::Local(t) => t.borrow().answer_count(),
-            TableHandle::Concurrent(t) => t.answer_count(),
-        }
-    }
-}
 
 /// When to consult the remote hook for a goal routed to another peer.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -375,7 +287,7 @@ pub struct Solver<'a> {
     rename_counter: u32,
     stats: Stats,
     telemetry: Telemetry,
-    table: Option<TableHandle>,
+    table: Option<SharedTable>,
 }
 
 /// Work items on the evaluation agenda.
@@ -479,16 +391,7 @@ impl<'a> Solver<'a> {
     /// the same peer; call [`AnswerTable::clear`] on any non-monotone
     /// change (rule retraction or body edit).
     pub fn with_table(mut self, table: SharedTable) -> Solver<'a> {
-        self.table = Some(TableHandle::Local(table));
-        self
-    }
-
-    /// Attach a thread-safe answer table shared with other solvers (each
-    /// on its own thread) over the *same* knowledge base. Same soundness
-    /// discipline as [`Solver::with_table`]; see
-    /// [`ConcurrentTable`] for the concurrency argument.
-    pub fn with_concurrent_table(mut self, table: Arc<ConcurrentTable>) -> Solver<'a> {
-        self.table = Some(TableHandle::Concurrent(table));
+        self.table = Some(table);
         self
     }
 
@@ -496,33 +399,25 @@ impl<'a> Solver<'a> {
         self.stats
     }
 
-    /// The single-threaded answer table, if tabling ever ran (or one was
-    /// attached via [`Solver::with_table`]). `None` when a concurrent
-    /// table is attached — use [`Solver::table_handle`] for either kind.
+    /// The answer table, if tabling ever ran (or one was attached via
+    /// [`Solver::with_table`]).
     pub fn table(&self) -> Option<SharedTable> {
-        match &self.table {
-            Some(TableHandle::Local(t)) => Some(t.clone()),
-            _ => None,
-        }
-    }
-
-    /// The tabling backend, whichever kind is attached.
-    pub fn table_handle(&self) -> Option<TableHandle> {
         self.table.clone()
     }
 
     /// Snapshot of the answer-table counters (zeroes when tabling is off).
     pub fn table_stats(&self) -> TableStats {
-        self.table.as_ref().map(|t| t.stats()).unwrap_or_default()
+        self.table
+            .as_ref()
+            .map(|t| t.borrow().stats())
+            .unwrap_or_default()
     }
 
     /// Prove the conjunction `goals`, returning up to
     /// `config.max_solutions` answers with proofs.
     pub fn solve(&mut self, goals: &[Literal]) -> Vec<Solution> {
         if self.config.tabling && self.table.is_none() {
-            self.table = Some(TableHandle::Local(Rc::new(
-                RefCell::new(AnswerTable::new()),
-            )));
+            self.table = Some(Rc::new(RefCell::new(AnswerTable::new())));
         }
         let query_vars = distinct_vars(goals);
 
@@ -574,6 +469,7 @@ impl<'a> Solver<'a> {
         let Some(t) = self.table.as_ref() else {
             return;
         };
+        let t = t.borrow();
         let d = t.stats();
         self.telemetry
             .incr("engine.table.hits", d.hits - before.hits);
@@ -1073,7 +969,9 @@ impl<'a> Solver<'a> {
         let table = self.table.clone().expect("tabling requires a table");
         let key = canonical(goal);
 
-        match table.probe(&key) {
+        // Release the borrow before matching: `reuse` re-enters the table.
+        let probe = table.borrow_mut().probe(&key);
+        match probe {
             Probe::Inline => return None,
             Probe::Reuse(answers) => {
                 return Some(self.reuse(goal, &answers, rest, bs, anc, acc, out, query_vars));
@@ -1084,9 +982,7 @@ impl<'a> Solver<'a> {
         // Fresh variant: evaluate the canonical goal in an isolated
         // sub-derivation (same solver — shared hook, step budget and
         // rename counter; fresh agenda, ancestors and solution set).
-        // Under a concurrent table another thread may be doing the same —
-        // both evaluate the same KB, so both record the same entry.
-        table.begin(key.clone());
+        table.borrow_mut().begin(key.clone());
         let sub_vars = key.vars();
         let cutoffs_before = self.stats.depth_cutoffs;
         let saved_max = self.config.max_solutions;
@@ -1129,7 +1025,9 @@ impl<'a> Solver<'a> {
         } else {
             Disposition::Complete
         };
-        table.complete(key, disposition, answers.clone());
+        table
+            .borrow_mut()
+            .complete(key, disposition, answers.clone());
 
         if exhausted {
             return Some(Flow::Stop);
@@ -1137,7 +1035,7 @@ impl<'a> Solver<'a> {
         if disposition == Disposition::Incomplete {
             // Resource-bounded result: never reuse, resolve inline so the
             // answers at this occurrence match the untabled evaluation.
-            table.note_inline_fallback();
+            table.borrow_mut().note_inline_fallback();
             return None;
         }
         Some(self.reuse(goal, &answers, rest, bs, anc, acc, out, query_vars))

@@ -34,11 +34,8 @@
 //! the stored proof.)
 
 use crate::sld::Proof;
-use parking_lot::RwLock;
 use peertrust_core::Literal;
 use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One memoized answer: the answer instance of the tabled goal plus the
 /// proof tree that established it.
@@ -185,12 +182,6 @@ impl AnswerTable {
         );
     }
 
-    /// Abort a variant evaluation without recording anything (used when
-    /// the solver must unwind early, e.g. on a stop signal).
-    pub fn abort(&mut self, canonical: &Literal) {
-        self.in_progress.remove(canonical);
-    }
-
     /// The disposition recorded for a variant, if any.
     pub fn disposition(&self, canonical: &Literal) -> Option<Disposition> {
         self.entries.get(canonical).map(|e| e.disposition)
@@ -213,6 +204,23 @@ impl AnswerTable {
         self.stats.inline_fallbacks += 1;
     }
 
+    /// Classify a variant: in progress (a cycle) or recorded incomplete
+    /// resolves inline, a completed entry is reused, anything else is
+    /// fresh. Counts the inline fallback or the hit on the matching
+    /// branch.
+    pub fn probe(&mut self, canonical: &Literal) -> Probe {
+        if self.in_progress(canonical)
+            || self.disposition(canonical) == Some(Disposition::Incomplete)
+        {
+            self.note_inline_fallback();
+            return Probe::Inline;
+        }
+        match self.lookup(canonical) {
+            Some(answers) => Probe::Reuse(answers.to_vec()),
+            None => Probe::Fresh,
+        }
+    }
+
     /// Drop every entry (keeps the stats).
     pub fn clear(&mut self) {
         self.entries.clear();
@@ -220,7 +228,7 @@ impl AnswerTable {
     }
 }
 
-/// What a table found for a goal variant (see [`ConcurrentTable::probe`]).
+/// What a table found for a goal variant (see [`AnswerTable::probe`]).
 #[derive(Clone, Debug)]
 pub enum Probe {
     /// A completed entry: resolve the goal against these answers.
@@ -231,174 +239,6 @@ pub enum Probe {
     /// Never evaluated: the caller should `begin`, derive, and `complete`.
     Fresh,
 }
-
-/// Shard count for [`ConcurrentTable`]. A small power of two: policy
-/// workloads table at most a few thousand variants, so 16 shards already
-/// make write collisions between solver threads unlikely.
-const SHARDS: usize = 16;
-
-#[derive(Default)]
-struct Shard {
-    entries: HashMap<Literal, Entry>,
-    in_progress: HashSet<Literal>,
-}
-
-/// A thread-safe answer table: the same variant-keyed memoization as
-/// [`AnswerTable`], sharded by goal-variant hash with a `parking_lot`
-/// read-write lock per shard, shareable between solver threads behind an
-/// `Arc`.
-///
-/// Concurrency model (DESIGN.md §4d): lookups take only the shard's read
-/// lock; `begin`/`complete` take its write lock. Two threads may race to
-/// evaluate the *same* fresh variant — both `begin`, both derive, both
-/// `complete`. That is sound, not just benign: all solvers share one
-/// immutable knowledge base, so both derivations produce the same answer
-/// set and the second `complete` overwrites the first with identical
-/// content. The duplicated work is bounded by one variant evaluation per
-/// racing thread, and no blocking or cross-shard coordination is needed.
-///
-/// Sharing discipline: like the single-threaded table, a shared
-/// concurrent table is sound only across solvers evaluating the **same**
-/// knowledge base (monotone growth is not enough here — a `Complete`
-/// entry recorded against a smaller KB may under-approximate the answer
-/// set of a grown one when read by a different lineage). Call
-/// [`ConcurrentTable::clear`] on any KB change.
-///
-/// Stats are process-wide atomics rather than per-shard fields so that
-/// reading them never takes a lock.
-#[derive(Default)]
-pub struct ConcurrentTable {
-    shards: [RwLock<Shard>; SHARDS],
-    hits: AtomicU64,
-    misses: AtomicU64,
-    inserts: AtomicU64,
-    incomplete: AtomicU64,
-    inline_fallbacks: AtomicU64,
-}
-
-impl ConcurrentTable {
-    pub fn new() -> ConcurrentTable {
-        ConcurrentTable::default()
-    }
-
-    fn shard(&self, canonical: &Literal) -> &RwLock<Shard> {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        canonical.hash(&mut h);
-        &self.shards[(h.finish() as usize) % SHARDS]
-    }
-
-    /// One read-locked classification of a variant: reusable, inline, or
-    /// fresh. Mirrors the single-threaded sequence `in_progress ||
-    /// incomplete → inline; lookup → reuse; else fresh`, with the
-    /// hit/fallback counters recorded on the matching branch.
-    pub fn probe(&self, canonical: &Literal) -> Probe {
-        let shard = self.shard(canonical).read();
-        if shard.in_progress.contains(canonical) {
-            self.inline_fallbacks.fetch_add(1, Ordering::Relaxed);
-            return Probe::Inline;
-        }
-        match shard.entries.get(canonical) {
-            Some(e) if e.disposition == Disposition::Complete => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Probe::Reuse(e.answers.clone())
-            }
-            Some(_) => {
-                self.inline_fallbacks.fetch_add(1, Ordering::Relaxed);
-                Probe::Inline
-            }
-            None => Probe::Fresh,
-        }
-    }
-
-    /// Mark a variant as under evaluation *by this thread*.
-    pub fn begin(&self, canonical: Literal) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.shard(&canonical).write().in_progress.insert(canonical);
-    }
-
-    /// Record the outcome of a variant evaluation and release the
-    /// in-progress mark.
-    pub fn complete(
-        &self,
-        canonical: Literal,
-        disposition: Disposition,
-        answers: Vec<TabledAnswer>,
-    ) {
-        if disposition == Disposition::Incomplete {
-            self.incomplete.fetch_add(1, Ordering::Relaxed);
-        }
-        self.inserts
-            .fetch_add(answers.len() as u64, Ordering::Relaxed);
-        let mut shard = self.shard(&canonical).write();
-        shard.in_progress.remove(&canonical);
-        shard.entries.insert(
-            canonical,
-            Entry {
-                disposition,
-                answers,
-            },
-        );
-    }
-
-    /// Abort a variant evaluation without recording anything.
-    pub fn abort(&self, canonical: &Literal) {
-        self.shard(canonical).write().in_progress.remove(canonical);
-    }
-
-    /// Record one inline fallback counted outside [`ConcurrentTable::probe`].
-    pub fn note_inline_fallback(&self) {
-        self.inline_fallbacks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Number of variants with a recorded entry.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().entries.len()).sum()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.read().entries.is_empty())
-    }
-
-    /// Total answers stored across all entries.
-    pub fn answer_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.read()
-                    .entries
-                    .values()
-                    .map(|e| e.answers.len())
-                    .sum::<usize>()
-            })
-            .sum()
-    }
-
-    pub fn stats(&self) -> TableStats {
-        TableStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            inserts: self.inserts.load(Ordering::Relaxed),
-            incomplete: self.incomplete.load(Ordering::Relaxed),
-            inline_fallbacks: self.inline_fallbacks.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Drop every entry (keeps the stats).
-    pub fn clear(&self) {
-        for s in &self.shards {
-            let mut s = s.write();
-            s.entries.clear();
-            s.in_progress.clear();
-        }
-    }
-}
-
-// The table crosses thread boundaries behind an `Arc`; everything inside
-// a `Literal`/`Proof` is interned symbols and owned vectors.
-const _: () = {
-    const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<ConcurrentTable>()
-};
 
 #[cfg(test)]
 mod tests {
@@ -446,17 +286,9 @@ mod tests {
         t.complete(key.clone(), Disposition::Incomplete, vec![ans("q", 1)]);
         assert!(t.lookup(&key).is_none());
         assert_eq!(t.disposition(&key), Some(Disposition::Incomplete));
+        assert!(matches!(t.probe(&key), Probe::Inline));
         assert_eq!(t.stats().incomplete, 1);
-    }
-
-    #[test]
-    fn abort_releases_in_progress_without_entry() {
-        let mut t = AnswerTable::new();
-        let key = lit("r", 0);
-        t.begin(key.clone());
-        t.abort(&key);
-        assert!(!t.in_progress(&key));
-        assert!(t.disposition(&key).is_none());
+        assert_eq!(t.stats().inline_fallbacks, 1);
     }
 
     #[test]
@@ -471,8 +303,8 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_table_mirrors_single_threaded_protocol() {
-        let t = ConcurrentTable::new();
+    fn probe_is_fresh_then_inline_while_in_progress_then_reuse() {
+        let mut t = AnswerTable::new();
         let key = lit("p", 0);
         assert!(matches!(t.probe(&key), Probe::Fresh));
         t.begin(key.clone());
@@ -490,55 +322,5 @@ mod tests {
         assert_eq!(s.inline_fallbacks, 1);
         assert_eq!(t.len(), 1);
         assert_eq!(t.answer_count(), 1);
-    }
-
-    #[test]
-    fn concurrent_incomplete_entries_never_reused() {
-        let t = ConcurrentTable::new();
-        let key = lit("q", 0);
-        t.begin(key.clone());
-        t.complete(key.clone(), Disposition::Incomplete, vec![ans("q", 1)]);
-        assert!(matches!(t.probe(&key), Probe::Inline));
-        assert_eq!(t.stats().incomplete, 1);
-    }
-
-    #[test]
-    fn concurrent_abort_releases_in_progress() {
-        let t = ConcurrentTable::new();
-        let key = lit("r", 0);
-        t.begin(key.clone());
-        t.abort(&key);
-        assert!(matches!(t.probe(&key), Probe::Fresh));
-    }
-
-    #[test]
-    fn concurrent_clear_keeps_stats() {
-        let t = ConcurrentTable::new();
-        t.begin(lit("p", 0));
-        t.complete(lit("p", 0), Disposition::Complete, vec![ans("p", 1)]);
-        let _ = t.probe(&lit("p", 0));
-        t.clear();
-        assert!(t.is_empty());
-        assert_eq!(t.stats().hits, 1);
-    }
-
-    #[test]
-    fn concurrent_racing_begins_converge_on_one_entry() {
-        // Two "threads" racing on the same fresh variant: both begin,
-        // both complete with the same answers (same KB). The second
-        // complete overwrites the first with identical content.
-        let t = ConcurrentTable::new();
-        let key = lit("p", 0);
-        t.begin(key.clone());
-        t.begin(key.clone());
-        t.complete(key.clone(), Disposition::Complete, vec![ans("p", 1)]);
-        t.complete(key.clone(), Disposition::Complete, vec![ans("p", 1)]);
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.answer_count(), 1);
-        match t.probe(&key) {
-            Probe::Reuse(answers) => assert_eq!(answers.len(), 1),
-            other => panic!("expected reuse, got {other:?}"),
-        }
-        assert_eq!(t.stats().misses, 2);
     }
 }

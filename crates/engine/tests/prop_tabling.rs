@@ -4,10 +4,11 @@
 //! on canonicalized instance sets, not multisets.
 
 use peertrust_core::prelude::*;
-use peertrust_engine::{canonicalize, ConcurrentTable, EngineConfig, Solver};
+use peertrust_engine::{canonicalize, AnswerTable, EngineConfig, SharedTable, Solver};
 use proptest::prelude::*;
+use std::cell::RefCell;
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// A random safe Datalog program over a small universe, mirroring the
 /// generator in `prop_agreement.rs`: EDB facts `e{i}(c, c)` plus rules
@@ -69,11 +70,11 @@ fn answer_set(kb: &KnowledgeBase, goal: &Literal, tabling: bool) -> (BTreeSet<St
     (set, solver.stats().step_budget_exhausted)
 }
 
-/// All answers for `goal` through a shared concurrent table.
-fn concurrent_answer_set(
+/// All answers for `goal` through a shared answer table.
+fn shared_answer_set(
     kb: &KnowledgeBase,
     goal: &Literal,
-    table: &Arc<ConcurrentTable>,
+    table: &SharedTable,
 ) -> (BTreeSet<String>, bool) {
     let mut solver = Solver::new(kb, PeerId::new("self"))
         .with_config(EngineConfig {
@@ -82,7 +83,7 @@ fn concurrent_answer_set(
             tabling: true,
             ..EngineConfig::default()
         })
-        .with_concurrent_table(Arc::clone(table));
+        .with_table(Rc::clone(table));
     let sols = solver.solve(std::slice::from_ref(goal));
     let set = sols
         .iter()
@@ -114,21 +115,20 @@ proptest! {
         }
     }
 
-    /// The concurrent table preserves answer sets too — including when
-    /// one warm table is reused across every query of the program (the
-    /// sharing pattern of the batch scheduler's solver threads).
+    /// Answer sets are preserved too when one warm table is reused,
+    /// through `Solver::with_table`, across every query of the program.
     #[test]
-    fn concurrent_tabling_preserves_answer_sets(prog in arb_program()) {
+    fn shared_table_preserves_answer_sets(prog in arb_program()) {
         let kb: KnowledgeBase = prog.rules.iter().cloned().collect();
-        let table = Arc::new(ConcurrentTable::new());
+        let table: SharedTable = Rc::new(RefCell::new(AnswerTable::new()));
         for pred in ["p0", "p1", "e0", "e1", "e2"] {
             let goal = Literal::new(pred, vec![Term::var("A"), Term::var("B")]);
             let (plain, plain_exhausted) = answer_set(&kb, &goal, false);
-            let (shared, shared_exhausted) = concurrent_answer_set(&kb, &goal, &table);
+            let (shared, shared_exhausted) = shared_answer_set(&kb, &goal, &table);
             prop_assume!(!plain_exhausted && !shared_exhausted);
             prop_assert_eq!(
                 &plain, &shared,
-                "answer sets diverge for {}: plain {:?} vs concurrent-tabled {:?}",
+                "answer sets diverge for {}: plain {:?} vs shared-table {:?}",
                 pred, plain, shared
             );
         }

@@ -313,47 +313,6 @@ fn license_locally(
     None
 }
 
-/// Host-facing wrapper for the threaded runtime: purely local licensing
-/// of one answer/credential for `recipient`, without session ledgers.
-pub(crate) fn license_locally_for_host(
-    peer: &NegotiationPeer,
-    recipient: PeerId,
-    answer: &Literal,
-    rename_seq: &mut u32,
-) -> Option<(Context, Vec<Evidence>)> {
-    license_locally(peer, recipient, answer, &peer.kb, None, rename_seq)
-}
-
-/// Host-facing wrapper: can `peer` derive and license `goal` for
-/// `requester` from purely local knowledge? Returns the granted instances.
-pub(crate) fn grantable_locally_for_host(
-    peer: &NegotiationPeer,
-    requester: PeerId,
-    goal: &Literal,
-) -> Option<Vec<Literal>> {
-    let mut rename_seq = 0u32;
-    let solutions = {
-        let mut solver =
-            Solver::new(&peer.kb, peer.id).with_config(local_config(peer.config.engine));
-        solver.solve(std::slice::from_ref(goal))
-    };
-    let mut granted = Vec::new();
-    for sol in solutions {
-        let answer = sol.subst.apply_literal(goal);
-        if granted.contains(&answer) {
-            continue;
-        }
-        if license_locally(peer, requester, &answer, &peer.kb, None, &mut rename_seq).is_some() {
-            granted.push(answer);
-        }
-    }
-    if granted.is_empty() {
-        None
-    } else {
-        Some(granted)
-    }
-}
-
 /// Engine settings for purely local evaluation (no remote fallback).
 fn local_config(mut cfg: EngineConfig) -> EngineConfig {
     cfg.remote_fallback = peertrust_engine::RemoteFallback::Never;

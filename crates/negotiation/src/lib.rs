@@ -30,8 +30,6 @@
 //!   credentials, unsafe rules, unknown authorities/issuers;
 //! * [`ticket`] — §3.1's nontransferable, expiring access tokens;
 //! * [`audit`] — §3.1's audit trail, hash-chained and tamper-evident;
-//! * [`threaded_host`] — the eager protocol over real threads and the
-//!   crossbeam router, one peer per thread;
 //! * [`scheduler`] — the multi-core batch driver: N independent
 //!   negotiations over a worker pool with per-job peer-map snapshots, an
 //!   optional shared answer cache and fault grid, and deterministic
@@ -58,7 +56,6 @@ pub mod scheduler;
 pub mod serve;
 pub mod session;
 pub mod strategy;
-pub mod threaded_host;
 pub mod ticket;
 pub mod unipro;
 
@@ -81,9 +78,6 @@ pub use serve::{
 };
 pub use session::{negotiate, NegotiateOptions, PeerMap, SessionConfig, MAX_HOP_DEPTH};
 pub use strategy::Strategy;
-pub use threaded_host::{
-    negotiate_threaded, negotiate_threaded_with, ThreadedConfig, ThreadedFailure, ThreadedOutcome,
-};
 pub use ticket::{issue_ticket, redeem_ticket, Ticket, TicketError, TOKEN_PREDICATE};
 pub use unipro::{
     disclosable_definition, request_policy, unlock_policy_chain, PolicyDisclosureOutcome,

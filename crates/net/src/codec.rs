@@ -282,8 +282,10 @@ mod tests {
     fn single_byte_mutations_never_panic_and_never_roundtrip() {
         // Fuzz-style sweep: flip each byte of a valid frame through a few
         // xor patterns. decode_frame must always return (no panic), and a
-        // successful decode must differ from the original message — a
-        // one-byte flip cannot produce an equal frame.
+        // successful decode must differ from the original message. That
+        // holds for this `Query` sample only: frames carry no checksum, so
+        // a flipped name of a `null` optional field (a rule's
+        // `head_context`, say) decodes to an equal message.
         let msg = sample(5);
         let frame = encode_frame(&msg).unwrap();
         for pos in 0..frame.len() {

@@ -8,13 +8,10 @@
 //!   credential pushes, failure notices;
 //! * [`faults`] — deterministic fault injection: seeded per-link
 //!   drop/delay/duplicate/reorder/corruption plans plus peer crash
-//!   windows, applied as a wrapper lane over both transports;
+//!   windows, applied as a wrapper lane over the simulated network;
 //! * [`sim`] — a deterministic discrete-event network with configurable
 //!   topology and latency, producing the message/byte/round metrics every
 //!   experiment reports;
-//! * [`threaded`] — a crossbeam-channel transport running each peer on a
-//!   real thread, proving the protocol does not depend on deterministic
-//!   scheduling;
 //! * [`topology`] — full-mesh, star (broker) and explicit-link topologies.
 
 pub mod codec;
@@ -22,7 +19,6 @@ pub mod faults;
 pub mod message;
 pub mod routing;
 pub mod sim;
-pub mod threaded;
 pub mod topology;
 
 pub use codec::{decode_frame, encode_frame, CodecError, DecodeError, MAX_FRAME};
@@ -32,8 +28,4 @@ pub use faults::{
 pub use message::{Message, MessageId, NegotiationId, Payload, QueryId, TraceContext};
 pub use routing::{RoutedLookup, RoutingIndex, SuperPeerNetwork};
 pub use sim::{LatencyModel, NetError, NetStats, SimNetwork, Tick, TraceEvent};
-pub use threaded::{
-    channel_network, channel_network_faulty, channel_network_with_telemetry,
-    framed_channel_network, Endpoint, FramedEndpoint, Router,
-};
 pub use topology::Topology;

@@ -5,8 +5,7 @@
 //! empty = failure/refusal), and *credential pushes* (signed rules whose
 //! release policies the sender has verified against the recipient). The
 //! 2004 prototype shipped these over TLS sockets between Java peers; here
-//! they travel over the simulated or threaded transport in
-//! [`crate::sim`] / [`crate::threaded`].
+//! they travel over the simulated network in [`crate::sim`].
 
 use bytes::Bytes;
 use peertrust_core::{Literal, PeerId, Rule, Sym};

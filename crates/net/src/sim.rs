@@ -20,7 +20,7 @@ use std::fmt;
 
 /// Append `trace`/`span`/`parent` fields to a telemetry event when the
 /// context is live; untraced events keep their exact pre-tracing shape.
-pub(crate) fn push_trace_fields(fields: &mut Vec<Field>, trace: TraceContext) {
+fn push_trace_fields(fields: &mut Vec<Field>, trace: TraceContext) {
     if !trace.is_none() {
         fields.push(Field::u64("trace", trace.trace_id));
         fields.push(Field::u64("span", trace.span_id));
@@ -102,10 +102,6 @@ pub struct NetStats {
     pub corrupted: u64,
     /// Messages lost because the recipient was crashed at delivery time.
     pub crash_dropped: u64,
-    /// Messages addressed to a peer the transport does not know
-    /// (populated by the threaded router; the sim's topology check
-    /// rejects these at send time instead).
-    pub undeliverable: u64,
 }
 
 /// One entry in the network trace.

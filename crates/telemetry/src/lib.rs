@@ -19,9 +19,8 @@
 //!    [`Telemetry::enabled`], a null check. Hot paths (the SLD inner loop)
 //!    accumulate into their existing counters and flush once per call.
 //! 2. **Thread-safe.** [`Recorder`] implementations are `Send + Sync`;
-//!    sinks lock internally. The same handle serves the deterministic
-//!    [`SimNetwork`](../peertrust_net/sim/index.html) and the threaded
-//!    crossbeam transport.
+//!    sinks lock internally. One handle serves every worker thread of the
+//!    batch and serving executors.
 //! 3. **No external dependencies.** Like `peertrust_crypto::sha256`, the
 //!    ring buffer, registry, and JSONL writer are hand-rolled on std.
 //!

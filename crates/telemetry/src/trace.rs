@@ -13,9 +13,8 @@
 //! * **request** — one remote query evaluated by a peer, nested under
 //!   the requesting span (`trace.start`/`trace.end`);
 //! * **transit** — one message on the wire, derived from a `net.send`
-//!   (or `net.thread.send`) event and closed by the matching
-//!   `net.deliver`/`net.thread.recv`; a transit that never closes was
-//!   dropped by the fault lane;
+//!   event and closed by the matching `net.deliver`; a transit that never
+//!   closes was dropped by the fault lane;
 //! * **backoff** — a resilience retry wait (`trace.start`/`trace.end`).
 //!
 //! `net.fault` events carrying a `span` field annotate the owning
@@ -185,7 +184,7 @@ impl Trace {
                         s.end = s.end.max(e.at);
                     }
                 }
-                "net.send" | "net.thread.send" => t.spans.push(TraceSpan {
+                "net.send" => t.spans.push(TraceSpan {
                     trace: trace_id,
                     id: span_id,
                     parent: e.u64_field("parent").unwrap_or(0),
@@ -202,7 +201,7 @@ impl Trace {
                     delivered: false,
                     faults: Vec::new(),
                 }),
-                "net.deliver" | "net.thread.recv" => {
+                "net.deliver" => {
                     match t
                         .spans
                         .iter_mut()

@@ -4,9 +4,10 @@
 //! `cargo xtask verify` runs the exact step sequence of
 //! `.github/workflows/ci.yml` — format, clippy, release build, the whole
 //! workspace's tests, docs, the experiments binary, the gated quickbench,
-//! the `ptbench --smoke` end-to-end run, and the criterion bench smokes —
-//! so the local verification recipe and CI cannot drift: editing one
-//! means editing [`STEPS`], which is what both consume.
+//! the `ptbench --smoke` end-to-end run, a build of ptbench's stand-alone
+//! manifest that must leave its `Cargo.lock` untouched, and the criterion
+//! bench smokes — so the local verification recipe and CI cannot drift:
+//! editing one means editing [`STEPS`], which is what both consume.
 //!
 //! `cargo xtask bench --quick` runs the quickbench harness, writes
 //! `target/BENCH.json`, and fails when a cold e8/e13 scenario's time
@@ -25,11 +26,13 @@
 
 use std::process::Command;
 
-/// One CI step: display name, cargo arguments, extra environment.
+/// One CI step: display name, cargo arguments, extra environment, and a
+/// file the step must leave byte-identical.
 struct Step {
     name: &'static str,
     cargo_args: &'static [&'static str],
     env: &'static [(&'static str, &'static str)],
+    unchanged: Option<&'static str>,
 }
 
 const fn step(
@@ -41,6 +44,7 @@ const fn step(
         name,
         cargo_args,
         env,
+        unchanged: None,
     }
 }
 
@@ -110,6 +114,20 @@ const STEPS: &[Step] = &[
         ],
         &[],
     ),
+    // A plain build rewrites the lock file when a path crate's
+    // dependencies change; `--locked` would leave it stale and succeed.
+    Step {
+        name: "ptbench stand-alone build (the manifest BENCHMARK.json runs; must not rewrite its Cargo.lock)",
+        cargo_args: &[
+            "build",
+            "--release",
+            "--offline",
+            "--manifest-path",
+            "crates/bench/src/bin/ptbench/Cargo.toml",
+        ],
+        env: &[],
+        unchanged: Some("crates/bench/src/bin/ptbench/Cargo.lock"),
+    },
     step(
         "bench smoke (e13_caching)",
         &[
@@ -269,8 +287,15 @@ fn bench(quick: bool) {
 
 fn verify() {
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
+    let read = |path: &str| {
+        std::fs::read(path).unwrap_or_else(|e| {
+            eprintln!("xtask verify: cannot read {path}: {e}");
+            std::process::exit(1);
+        })
+    };
     for s in STEPS {
         println!("== xtask verify: {} ==", s.name);
+        let before = s.unchanged.map(read);
         let mut cmd = Command::new(&cargo);
         cmd.args(s.cargo_args);
         for (k, v) in s.env {
@@ -283,6 +308,12 @@ fn verify() {
         if !status.success() {
             eprintln!("xtask verify: step '{}' failed", s.name);
             std::process::exit(status.code().unwrap_or(1));
+        }
+        if let (Some(path), Some(before)) = (s.unchanged, before) {
+            if read(path) != before {
+                eprintln!("xtask verify: step '{}' rewrote {path}", s.name);
+                std::process::exit(1);
+            }
         }
     }
     println!("xtask verify: all steps passed");

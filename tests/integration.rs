@@ -1,12 +1,12 @@
 //! Cross-crate integration tests exercising the public facade: full paper
-//! scenarios, warm-cache re-negotiation, tampering, threaded transport,
-//! and multi-negotiation accounting on a shared network.
+//! scenarios, warm-cache re-negotiation, tampering, and multi-negotiation
+//! accounting on a shared network.
 
 use peertrust::core::{Literal, PeerId, Term};
 use peertrust::crypto::{sha256::to_hex, sha256_digest, KeyRegistry};
 use peertrust::negotiation::{
-    negotiate, negotiate_threaded, verify_safe_sequence, NegotiateOptions, NegotiationPeer,
-    PeerMap, RefusalReason, ResilienceConfig, SharedRemoteAnswerCache, Strategy, MAX_HOP_DEPTH,
+    negotiate, verify_safe_sequence, NegotiateOptions, NegotiationPeer, PeerMap, RefusalReason,
+    ResilienceConfig, SharedRemoteAnswerCache, Strategy, MAX_HOP_DEPTH,
 };
 use peertrust::net::{FaultPlan, NegotiationId, SimNetwork};
 use peertrust::parser::parse_literal;
@@ -112,64 +112,6 @@ fn forged_credential_is_rejected_end_to_end() {
         parse_literal(r#"resource("Mallory")"#).unwrap(),
     );
     assert!(!out.success, "forged credential must not grant access");
-}
-
-#[test]
-fn threaded_transport_agrees_with_simulated() {
-    let registry = KeyRegistry::new();
-    registry.register_derived(PeerId::new("UIUC"), 1);
-    registry.register_derived(PeerId::new("BBB"), 2);
-
-    let build = |suffix: &str| {
-        let mut server = NegotiationPeer::new(format!("Srv{suffix}").as_str(), registry.clone());
-        server
-            .load_program(&format!(
-                r#"
-                resource(X) $ true <- student(X) @ "UIUC" @ X.
-                member("Srv{suffix}") @ "BBB" $ true signedBy ["BBB"].
-                "#
-            ))
-            .unwrap();
-        let mut alice = NegotiationPeer::new(format!("Ali{suffix}").as_str(), registry.clone());
-        alice
-            .load_program(&format!(
-                r#"
-                student("Ali{suffix}") @ "UIUC" signedBy ["UIUC"].
-                student(X) @ Y $ member(Requester) @ "BBB" @ Requester <-_true student(X) @ Y.
-                "#
-            ))
-            .unwrap();
-        (alice, server)
-    };
-
-    // Simulated run.
-    let (alice, server) = build("S");
-    let mut peers = PeerMap::new();
-    let alice_id = alice.id;
-    let server_id = server.id;
-    peers.insert(alice);
-    peers.insert(server);
-    let mut net = SimNetwork::new(3);
-    let sim = Strategy::Eager.run(
-        &mut peers,
-        &mut net,
-        NegotiationId(1),
-        alice_id,
-        server_id,
-        parse_literal(r#"resource("AliS")"#).unwrap(),
-    );
-    assert!(sim.success);
-
-    // Threaded run of the identical setup.
-    let (alice_t, server_t) = build("T");
-    let threaded = negotiate_threaded(
-        alice_t,
-        server_t,
-        parse_literal(r#"resource("AliT")"#).unwrap(),
-    );
-    assert!(threaded.success);
-    // Same disclosure count either way.
-    assert_eq!(sim.credential_count(), threaded.disclosures.len());
 }
 
 #[test]
