@@ -13,7 +13,7 @@ fn bench_fleet(c: &mut Criterion) {
     let mut group = c.benchmark_group("e10_peers");
     group.sample_size(10);
 
-    for n in [4usize, 16, 64] {
+    for n in [4usize, 16, 64, 128, 256] {
         group.bench_with_input(BenchmarkId::new("mesh_fleet", n), &n, |b, &n| {
             b.iter_batched(
                 || fleet(n),

@@ -575,7 +575,7 @@ fn e7(_rows: &mut Vec<Row>) {
 
 fn e10(rows: &mut Vec<Row>) {
     println!("== E10: peer-count scaling ==");
-    for n in [4usize, 16, 64, 128] {
+    for n in [4usize, 16, 64, 128, 256] {
         let (mut peers, _reg, goals) = fleet(n);
         let mut net = SimNetwork::new(1);
         let mut total_msgs = 0u64;

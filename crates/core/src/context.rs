@@ -19,7 +19,7 @@
 
 use crate::literal::Literal;
 use crate::subst::Subst;
-use crate::symbol::PeerId;
+use crate::symbol::{well_known, PeerId, Sym};
 use crate::term::{Term, Var};
 use std::fmt;
 
@@ -59,7 +59,7 @@ impl Context {
         // Normalize: a sole `true` literal is the public context.
         let goals = goals
             .into_iter()
-            .filter(|g| g.pred.as_str() != "true")
+            .filter(|g| g.pred != well_known::true_())
             .collect();
         Context { goals }
     }
@@ -69,9 +69,17 @@ impl Context {
         self.goals.is_empty()
     }
 
-    /// Syntactically, is this exactly the default `Requester = Self` guard?
+    /// Syntactically, is this exactly the default `Requester = Self` guard
+    /// (`== Context::default_private()`, variable versions included)?
     pub fn is_default_private(&self) -> bool {
-        self == &Context::default_private()
+        let [goal] = self.goals.as_slice() else {
+            return false;
+        };
+        let unversioned = |t: &Term, name: Sym| *t == Term::Var(Var::new(name));
+        goal.pred == well_known::eq()
+            && goal.authority.is_empty()
+            && matches!(goal.args.as_slice(), [r, s]
+                if unversioned(r, well_known::requester()) && unversioned(s, well_known::self_()))
     }
 
     /// Instantiate the pseudo-variables: bind every `Requester` variable to
@@ -151,6 +159,33 @@ mod tests {
         assert_eq!(c.to_string(), "Requester = Self");
         assert!(c.is_default_private());
         assert!(!c.is_public());
+    }
+
+    #[test]
+    fn is_default_private_is_equality_with_the_default() {
+        let versioned = |name: &str| Term::Var(Var::versioned(name, 3));
+        let one = |goal: Literal| Context { goals: vec![goal] };
+        let cases = [
+            Context::default_private(),
+            one(Literal::eq(Term::self_(), Term::requester())),
+            one(Literal::eq(versioned("Requester"), Term::self_())),
+            one(Literal::eq(Term::requester(), versioned("Self"))),
+            one(Literal::eq(Term::requester(), Term::self_()).at(Term::str("CA"))),
+            one(Literal::cmp("!=", Term::requester(), Term::self_())),
+            Context {
+                goals: vec![Literal::eq(Term::requester(), Term::self_()); 2],
+            },
+            Context::public(),
+            Context::requester_is(PeerId::new("Alice")),
+        ];
+        for c in &cases {
+            assert_eq!(
+                c.is_default_private(),
+                *c == Context::default_private(),
+                "{c}"
+            );
+        }
+        assert!(cases[0].is_default_private());
     }
 
     #[test]

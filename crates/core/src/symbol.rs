@@ -167,30 +167,38 @@ impl fmt::Debug for PeerId {
     }
 }
 
-/// Well-known symbols used throughout the system.
+/// Well-known symbols used throughout the system. Each is interned on its
+/// first call only, in a cell of its own, so later calls skip the
+/// interner's shard lock and every symbol is still interned at the moment
+/// it was first needed (its `Sym` id does not move).
 pub mod well_known {
     use super::Sym;
+    use std::sync::OnceLock;
 
     /// The `Requester` pseudo-variable: bound at disclosure time to the peer
     /// the literal/rule would be sent to (paper §3.1).
     pub fn requester() -> Sym {
-        Sym::new("Requester")
+        static SYM: OnceLock<Sym> = OnceLock::new();
+        *SYM.get_or_init(|| Sym::new("Requester"))
     }
 
     /// The `Self` pseudo-variable: bound to the local peer's distinguished
     /// name (paper §3.1).
     pub fn self_() -> Sym {
-        Sym::new("Self")
+        static SYM: OnceLock<Sym> = OnceLock::new();
+        *SYM.get_or_init(|| Sym::new("Self"))
     }
 
     /// Equality builtin predicate `=`.
     pub fn eq() -> Sym {
-        Sym::new("=")
+        static SYM: OnceLock<Sym> = OnceLock::new();
+        *SYM.get_or_init(|| Sym::new("="))
     }
 
     /// The reserved `true` context/goal.
     pub fn true_() -> Sym {
-        Sym::new("true")
+        static SYM: OnceLock<Sym> = OnceLock::new();
+        *SYM.get_or_init(|| Sym::new("true"))
     }
 }
 

@@ -125,10 +125,11 @@ pub struct Receipt {
 /// snapshot is copy-on-write: the KB's frozen base segment, the frozen
 /// signed-rule map, the certified view's base and the registry are all
 /// `Arc`-shared, so cloning costs O(overlay) — a handful of pointer bumps
-/// for a peer that has not changed since the freeze. The batch scheduler
-/// and the open-loop serving driver freeze the peer map once at setup and
-/// then clone it per job/session; each negotiation mutates only its own
-/// overlay (disclosed credentials, session state).
+/// for a peer that has not changed since the freeze. A frozen
+/// [`crate::PeerMap`] shares its peers by `Arc` and clones one only on its
+/// first write in a map (`PeerMap::get_mut`), so a negotiation pays this
+/// clone once per peer it writes (disclosed credentials land in the
+/// clone's overlays), not once per peer of the map.
 #[derive(Clone)]
 pub struct NegotiationPeer {
     pub id: PeerId,
@@ -184,7 +185,9 @@ impl NegotiationPeer {
         if !self.signed_overlay.is_empty() {
             let mut base = Arc::try_unwrap(std::mem::take(&mut self.signed_base))
                 .unwrap_or_else(|arc| (*arc).clone());
-            base.extend(self.signed_overlay.drain());
+            // `take`, not `drain`: a drained map keeps its capacity, and
+            // every clone of this peer would copy the empty table.
+            base.extend(std::mem::take(&mut self.signed_overlay));
             self.signed_base = Arc::new(base);
         }
     }

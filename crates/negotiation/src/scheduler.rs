@@ -8,12 +8,12 @@
 //! Determinism (DESIGN.md §4d): each job gets
 //!
 //! * its own *pristine* snapshot of the peer map. The batch freezes the
-//!   map once at setup ([`PeerMap::freeze`], DESIGN.md §4i), so every
-//!   peer's rule store and signed-rule map live behind
-//!   `Arc`s and the per-job snapshot is a copy-on-write view: cloning
-//!   costs O(#peers) pointer bumps, not O(total KB). Jobs never observe
-//!   each other's session mutations — disclosures received mid-session
-//!   land in the clone's private overlay;
+//!   map once at setup ([`PeerMap::freeze`], DESIGN.md §4i, §4n), so the
+//!   peers, their rule stores and signed-rule maps live behind `Arc`s
+//!   and the per-job snapshot is a copy-on-write view: cloning costs one
+//!   `Arc` bump, and a job copies only the peers it writes. Jobs never
+//!   observe each other's session mutations — disclosures received
+//!   mid-session land in the clone's private overlay;
 //! * its own [`SimNetwork`] seeded from `(net_seed, job index)` via
 //!   [`SimNetwork::for_job`], so the latency/ordering stream depends
 //!   only on the job, never on the executing thread;
@@ -286,7 +286,7 @@ pub fn negotiate_batch(
 /// `peers` frozen ([`PeerMap::freeze`]): borrowed when it already is,
 /// else a frozen private copy. Both executors call this once at setup, so
 /// every per-job snapshot in [`run_job`] is a copy-on-write view over the
-/// shared rule stores (O(#peers) pointer bumps, no KB deep copy).
+/// shared peers (one `Arc` bump; a job copies only the peers it writes).
 pub(crate) fn frozen(peers: &PeerMap) -> Cow<'_, PeerMap> {
     if peers.is_frozen() {
         return Cow::Borrowed(peers);

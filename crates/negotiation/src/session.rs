@@ -39,11 +39,24 @@ use peertrust_net::{
     MessageFate, MessageId, NegotiationId, Payload, QueryId, SimNetwork, TraceContext,
 };
 use peertrust_telemetry::{Field, SpanId, Telemetry};
+use std::collections::hash_map::Entry;
+use std::sync::Arc;
 
 /// The collection of peers participating in negotiations.
+///
+/// Copy-on-write, one level above [`KnowledgeBase`]: an `Arc`-shared
+/// *base* table of frozen peers plus an *overlay* of the peers inserted or
+/// written since the last [`PeerMap::freeze`], whose entries shadow the
+/// base. Cloning a frozen map is one `Arc` bump; a clone copies a base
+/// peer into its own overlay on the first [`PeerMap::get_mut`] (a few
+/// `Arc` bumps for a frozen peer), so a negotiation pays only for the
+/// peers it writes, and dropping it frees only those copies.
 #[derive(Clone, Default)]
 pub struct PeerMap {
-    map: FxHashMap<PeerId, NegotiationPeer>,
+    /// Frozen peers, shared by every clone. Only `freeze` writes it.
+    base: Arc<FxHashMap<PeerId, NegotiationPeer>>,
+    /// Peers inserted or written since the last freeze.
+    overlay: FxHashMap<PeerId, NegotiationPeer>,
 }
 
 impl PeerMap {
@@ -52,41 +65,77 @@ impl PeerMap {
     }
 
     pub fn insert(&mut self, peer: NegotiationPeer) {
-        self.map.insert(peer.id, peer);
+        self.overlay.insert(peer.id, peer);
     }
 
     pub fn get(&self, id: PeerId) -> Option<&NegotiationPeer> {
-        self.map.get(&id)
+        self.overlay.get(&id).or_else(|| self.base.get(&id))
     }
 
+    /// The peer `id`, copied from the shared base into this map's overlay
+    /// on its first write.
     pub fn get_mut(&mut self, id: PeerId) -> Option<&mut NegotiationPeer> {
-        self.map.get_mut(&id)
+        match self.overlay.entry(id) {
+            Entry::Occupied(e) => Some(e.into_mut()),
+            Entry::Vacant(e) => Some(e.insert(self.base.get(&id)?.clone())),
+        }
     }
 
     pub fn contains(&self, id: PeerId) -> bool {
-        self.map.contains_key(&id)
+        self.overlay.contains_key(&id) || self.base.contains_key(&id)
     }
 
     pub fn ids(&self) -> Vec<PeerId> {
-        let mut v: Vec<PeerId> = self.map.keys().copied().collect();
+        let mut v: Vec<PeerId> = self.peers().map(|(id, _)| *id).collect();
         v.sort();
         v
     }
 
-    /// Freeze every peer's mutable state into `Arc`-shared form (see
-    /// [`NegotiationPeer::freeze`]). Afterwards `clone` is O(#peers)
-    /// pointer bumps instead of O(total KB) — the batch scheduler and the
-    /// serving driver call this once at setup so per-job pristine
-    /// snapshots stop deep-copying the rule stores. Idempotent.
+    /// Every visible peer: the overlay, then the base peers it does not
+    /// shadow.
+    fn peers(&self) -> impl Iterator<Item = (&PeerId, &NegotiationPeer)> {
+        let base = self.base.iter();
+        self.overlay
+            .iter()
+            .chain(base.filter(move |(id, _)| !self.overlay.contains_key(*id)))
+    }
+
+    /// Freeze every peer written since the last freeze (see
+    /// [`NegotiationPeer::freeze`]) and fold it into the shared base.
+    /// Afterwards `clone` is one `Arc` bump instead of O(total KB) — the
+    /// batch scheduler and the serving driver call this once at setup,
+    /// and [`negotiate`] on entry. O(1) when nothing was written, else
+    /// O(peers written). Rule ids, candidate order and outcomes are
+    /// unchanged. Idempotent.
     pub fn freeze(&mut self) {
-        for peer in self.map.values_mut() {
+        if self.overlay.is_empty() {
+            return;
+        }
+        let mut overlay = std::mem::take(&mut self.overlay);
+        if self.base.is_empty() {
+            // The set-up freeze: move the table whole, so building a map
+            // costs what it did before the map had a base.
+            for peer in overlay.values_mut() {
+                peer.freeze();
+            }
+            self.base = Arc::new(overlay);
+            return;
+        }
+        // Drop each stale base copy before freezing its successor, so the
+        // peer's KB and signed bases have one owner and fold in place
+        // rather than being copied whole.
+        let base = Arc::make_mut(&mut self.base);
+        for (id, mut peer) in overlay {
+            base.remove(&id);
             peer.freeze();
+            base.insert(id, peer);
         }
     }
 
-    /// Is every peer fully frozen (see [`NegotiationPeer::is_frozen`])?
+    /// Has nothing been inserted or written since the last freeze? Every
+    /// base peer is frozen (see [`NegotiationPeer::is_frozen`]).
     pub fn is_frozen(&self) -> bool {
-        self.map.values().all(NegotiationPeer::is_frozen)
+        self.overlay.is_empty()
     }
 
     /// Do every one of `self`'s peers share their frozen KB and
@@ -95,7 +144,7 @@ impl PeerMap {
     /// copy-on-write (no deep KB copy); the serving driver counts
     /// violations into `negotiation.serve.base_clones`.
     pub fn shares_frozen_bases_with(&self, other: &PeerMap) -> bool {
-        self.map.iter().all(|(id, peer)| {
+        self.peers().all(|(id, peer)| {
             other
                 .get(*id)
                 .is_some_and(|o| peer.shares_frozen_bases_with(o))
@@ -179,7 +228,9 @@ pub struct NegotiateOptions {
 
 /// Run one parsimonious negotiation: `requester` asks `responder` to
 /// establish `goal` (the resource request). Returns the outcome, plus a
-/// [`ResilienceReport`] iff `opts.resilience` was set.
+/// [`ResilienceReport`] iff `opts.resilience` was set. `peers` is frozen
+/// on entry ([`PeerMap::freeze`]); the session's own writes land in its
+/// overlay.
 pub fn negotiate(
     peers: &mut PeerMap,
     net: &mut SimNetwork,
@@ -190,6 +241,9 @@ pub fn negotiate(
     goal: Literal,
 ) -> (NegotiationOutcome, Option<ResilienceReport>) {
     let telemetry = &opts.telemetry;
+    // O(1) on a snapshot; on a reused map it makes `respond`'s per-query
+    // KB clone and the pristine snapshot below O(this session's writes).
+    peers.freeze();
     // The pristine snapshot crash-resume restores from must predate any
     // disclosure of this session.
     let resilience = opts

@@ -184,6 +184,20 @@ const STEPS: &[Step] = &[
         ],
         &[],
     ),
+    step(
+        "bench smoke (e10_peers)",
+        &[
+            "bench",
+            "-p",
+            "peertrust-bench",
+            "--bench",
+            "e10_peers",
+            "--",
+            "--measurement-time",
+            "1",
+        ],
+        &[],
+    ),
 ];
 
 const USAGE: &str =
